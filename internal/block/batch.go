@@ -2,9 +2,7 @@ package block
 
 import (
 	"fmt"
-	"time"
 
-	"github.com/sss-lab/blocksptrsv/internal/kernels"
 	"github.com/sss-lab/blocksptrsv/internal/sparse"
 )
 
@@ -16,96 +14,30 @@ import (
 // follow-up work that the paper cites as its motivating scenario.
 //
 // B is not modified; B and X may alias. Not safe for concurrent use.
-func (s *Solver[T]) SolveBatch(b, x []T, k int) {
-	if k == 1 {
-		s.Solve(b, x)
-		return
-	}
-	if k > 1 && len(s.wbp) < s.n*k {
-		s.wbp = make([]T, s.n*k)
-		if s.perm != nil {
-			s.xbp = make([]T, s.n*k)
-		}
-	}
-	s.solveBatchWith(b, x, k, s.wbp, s.xbp, nil, &s.stats)
-}
-
-// solveBatchWith is the shared batched solve path with injected scratch
-// and optional per-session sync-free states. An attached TraceRecorder
-// sees one solve id for the whole batch and one record per plan step,
-// exactly like the single-RHS paths, so request spans can link to the
-// step trace through SolveStats.LastTraceID regardless of batching.
-func (s *Solver[T]) solveBatchWith(b, x []T, k int, wb, xb []T, states []*kernels.SyncFreeState, stats *SolveStats) {
-	if k <= 0 || len(b) != s.n*k || len(x) != s.n*k {
-		panic(fmt.Sprintf("block: SolveBatch got len(b)=%d len(x)=%d k=%d want %d", len(b), len(x), k, s.n*k))
-	}
-	rec := s.opts.Trace
-	sid := s.beginTrace()
-	stats.LastTraceID = sid
-	w := wb[:s.n*k]
-	xp := x
-	if s.perm != nil {
-		permuteRowsInto(w, b, s.perm, k)
-		xp = xb[:s.n*k]
-	} else {
-		copy(w, b)
-	}
-	for si, st := range s.steps {
-		var t0 time.Time
-		if rec != nil {
-			t0 = time.Now()
-		}
-		if st.kind == triSeg {
-			tb := &s.tris[st.idx]
-			s.solveTriBatch(tb, w[tb.lo*k:tb.hi*k], xp[tb.lo*k:tb.hi*k], k, stateFor(states, st.idx, tb))
-			mTriCalls[tb.kernel].Inc()
-			if rec != nil {
-				rec.record(sid, si, s.meta[si], uint8(tb.kernel), t0, time.Since(t0))
-			}
-		} else {
-			sb := &s.sqs[st.idx]
-			kernels.RunSpMVBatch(s.pool, sb.kernel, sb.csr, sb.dcsr,
-				xp[sb.spec.colLo*k:sb.spec.colHi*k], w[sb.spec.rowLo*k:sb.spec.rowHi*k], k)
-			mSpMVCalls[sb.kernel].Inc()
-			if rec != nil {
-				rec.record(sid, si, s.meta[si], uint8(sb.kernel), t0, time.Since(t0))
-			}
-		}
-	}
-	if s.perm != nil {
-		unpermuteRowsInto(x, xp, s.perm, k)
-	}
-	stats.Solves++
-	mSolves.Inc()
-}
-
-func (s *Solver[T]) solveTriBatch(tb *triBlock[T], w, x []T, k int, state *kernels.SyncFreeState) {
-	switch tb.kernel {
-	case kernels.TriCompletelyParallel:
-		kernels.TriDiagOnlySolveBatch(s.pool, tb.diag, w, x, k)
-	case kernels.TriLevelSet:
-		kernels.TriLevelSetSolveBatch(s.pool, tb.strictCSC, tb.diag, tb.info, w, x, k)
-	case kernels.TriSyncFree:
-		kernels.TriSyncFreeSolveBatch(s.pool, state, tb.strictCSC, tb.diag, w, x, k)
-	case kernels.TriCuSparseLike:
-		kernels.TriCuSparseLikeSolveBatch(s.pool, tb.sched, tb.strictCSR, tb.diag, w, x, k)
-	case kernels.TriSerial:
-		kernels.TriSerialSolveBatch(tb.strictCSC, tb.diag, w, x, k)
-	default:
-		panic(fmt.Sprintf("block: unresolved tri kernel %v", tb.kernel))
-	}
-}
+func (s *Solver[T]) SolveBatch(b, x []T, k int) { s.ses.SolveBatch(b, x, k) }
 
 // permuteRowsInto gathers row blocks under newIdx: dst[newIdx[i]] row =
 // src[i] row.
+//
+//sptrsv:hotpath
 func permuteRowsInto[T sparse.Float](dst, src []T, newIdx []int, k int) {
+	if k == 1 {
+		sparse.PermuteVecInto(dst, src, newIdx)
+		return
+	}
 	for i, p := range newIdx {
 		copy(dst[p*k:(p+1)*k], src[i*k:(i+1)*k])
 	}
 }
 
 // unpermuteRowsInto undoes permuteRowsInto: dst[i] row = src[newIdx[i]].
+//
+//sptrsv:hotpath
 func unpermuteRowsInto[T sparse.Float](dst, src []T, newIdx []int, k int) {
+	if k == 1 {
+		sparse.UnpermuteVecInto(dst, src, newIdx)
+		return
+	}
 	for i, p := range newIdx {
 		copy(dst[i*k:(i+1)*k], src[p*k:(p+1)*k])
 	}

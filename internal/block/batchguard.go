@@ -3,10 +3,6 @@ package block
 import (
 	"context"
 	"fmt"
-	"time"
-
-	"github.com/sss-lab/blocksptrsv/internal/faultinject"
-	"github.com/sss-lab/blocksptrsv/internal/kernels"
 )
 
 // The guarded batched solve path: SolveBatchContext runs the same block
@@ -18,8 +14,8 @@ import (
 // completion, and the stall watchdog aborts a schedule whose progress
 // counter stops moving.
 //
-// Granularity caveat: unlike the single-RHS guarded kernels, the batch
-// kernels do not poll the guard inside a block, so cancellation and the
+// Granularity caveat: unlike the single-RHS kernels, the batch kernels
+// do not poll the guard inside a block, so cancellation and the
 // watchdog act *between* plan steps — a solve is abandoned at the next
 // block boundary, and a hang inside one batch kernel is beyond the
 // watchdog's reach. The fully-guarded single-RHS path (SolveContext)
@@ -29,120 +25,19 @@ import (
 // SolveBatchContext solves L·X = B for k right-hand sides like SolveBatch
 // (row-major n×k blocks, B and X may alias), with ctx cancellation and the
 // solver's Options.StallTimeout checked between plan steps. Length
-// mismatches return an error instead of panicking. Unlike SolveContext,
-// the residual-verification ladder (Options.VerifyResidual) is not run —
-// batched callers verify or degrade per right-hand side. Not safe for
-// concurrent use; use sessions.
+// mismatches return an error instead of panicking. For k > 1, unlike
+// SolveContext, the residual-verification ladder (Options.VerifyResidual)
+// is not run — batched callers verify or degrade per right-hand side; k = 1
+// is exactly SolveContext. Not safe for concurrent use; use sessions.
 func (s *Solver[T]) SolveBatchContext(ctx context.Context, b, x []T, k int) error {
-	if k == 1 {
-		return s.SolveContext(ctx, b, x)
-	}
-	if err := checkBatchArgs(s.n, len(b), len(x), k); err != nil {
-		return err
-	}
-	if len(s.wbp) < s.n*k {
-		s.wbp = make([]T, s.n*k)
-		if s.perm != nil {
-			s.xbp = make([]T, s.n*k)
-		}
-	}
-	return s.solveBatchContextWith(ctx, b, x, k, s.wbp, s.xbp, nil, &s.stats)
+	return s.ses.SolveBatchContext(ctx, b, x, k)
 }
 
 // SolveBatchContext is the session counterpart of Solver.SolveBatchContext:
 // the same guarantees, private scratch, concurrency-safe across sessions.
 func (ses *Session[T]) SolveBatchContext(ctx context.Context, b, x []T, k int) error {
-	if k == 1 {
-		return ses.SolveContext(ctx, b, x)
+	if n := ses.s.n; k <= 0 || len(b) != n*k || len(x) != n*k {
+		return fmt.Errorf("block: SolveBatchContext got len(b)=%d len(x)=%d k=%d want %d", len(b), len(x), k, n*k)
 	}
-	n := ses.s.n
-	if err := checkBatchArgs(n, len(b), len(x), k); err != nil {
-		return err
-	}
-	if len(ses.wbp) < n*k {
-		ses.wbp = make([]T, n*k)
-		if ses.s.perm != nil {
-			ses.xbp = make([]T, n*k)
-		}
-	}
-	return ses.s.solveBatchContextWith(ctx, b, x, k, ses.wbp, ses.xbp, ses.states, &ses.stats)
-}
-
-func checkBatchArgs(n, lenB, lenX, k int) error {
-	if k <= 0 || lenB != n*k || lenX != n*k {
-		return fmt.Errorf("block: SolveBatchContext got len(b)=%d len(x)=%d k=%d want %d", lenB, lenX, k, n*k)
-	}
-	return nil
-}
-
-// solveBatchContextWith mirrors solveBatchWith with a guard check between
-// steps: the cancellation watcher and the stall watchdog trip the guard,
-// and the schedule is abandoned at the next step boundary. Like the plain
-// batch path it assigns one TraceRecorder solve id per batch (stored in
-// stats.LastTraceID) and records one step entry per plan step.
-func (s *Solver[T]) solveBatchContextWith(ctx context.Context, b, x []T, k int, wb, xb []T, states []*kernels.SyncFreeState, stats *SolveStats) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	g, stopWatchers := s.startGuard(ctx)
-	defer stopWatchers()
-
-	rec := s.opts.Trace
-	sid := s.beginTrace()
-	stats.LastTraceID = sid
-	w := wb[:s.n*k]
-	xp := x
-	if s.perm != nil {
-		permuteRowsInto(w, b, s.perm, k)
-		xp = xb[:s.n*k]
-	} else {
-		copy(w, b)
-	}
-	for si, st := range s.steps {
-		if g.Tripped() {
-			return s.guardCause(g)
-		}
-		var t0 time.Time
-		if rec != nil {
-			t0 = time.Now()
-		}
-		if st.kind == triSeg {
-			if faultinject.Enabled {
-				faultinject.PanicAt("tri-block", st.idx)
-			}
-			tb := &s.tris[st.idx]
-			s.solveTriBatch(tb, w[tb.lo*k:tb.hi*k], xp[tb.lo*k:tb.hi*k], k, stateFor(states, st.idx, tb))
-			g.Step()
-			mTriCalls[tb.kernel].Inc()
-			if rec != nil {
-				rec.record(sid, si, s.meta[si], uint8(tb.kernel), t0, time.Since(t0))
-			}
-		} else {
-			sb := &s.sqs[st.idx]
-			kernels.RunSpMVBatch(s.pool, sb.kernel, sb.csr, sb.dcsr,
-				xp[sb.spec.colLo*k:sb.spec.colHi*k], w[sb.spec.rowLo*k:sb.spec.rowHi*k], k)
-			g.Step()
-			mSpMVCalls[sb.kernel].Inc()
-			if rec != nil {
-				rec.record(sid, si, s.meta[si], uint8(sb.kernel), t0, time.Since(t0))
-			}
-		}
-	}
-	if g.Tripped() {
-		return s.guardCause(g)
-	}
-	if faultinject.Enabled {
-		if row, v, ok := faultinject.Poison("solution"); ok && row*k < len(xp) {
-			xp[row*k] = T(v)
-		}
-	}
-	if s.perm != nil {
-		unpermuteRowsInto(x, xp, s.perm, k)
-	}
-	stats.Solves++
-	mSolves.Inc()
-	return nil
+	return ses.solveContext(ctx, b, x, k)
 }

@@ -4,21 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime/pprof"
 	"sync"
 	"time"
 
 	"github.com/sss-lab/blocksptrsv/internal/exec"
-	"github.com/sss-lab/blocksptrsv/internal/faultinject"
 	"github.com/sss-lab/blocksptrsv/internal/kernels"
 	"github.com/sss-lab/blocksptrsv/internal/sparse"
 )
-
-// The guarded solve path: SolveContext runs the same block schedule as
-// Solve, but threads an exec.Guard through every kernel barrier and
-// busy-wait so the solve can be cancelled (context), aborted on stall
-// (watchdog), and verified (residual ladder). Plain Solve shares none of
-// this machinery and stays exactly as fast as before.
 
 // StallError reports a solve the watchdog aborted because its progress
 // counter stopped moving. When a sync-free worker was mid-busy-wait at
@@ -56,20 +48,6 @@ func (e *ResidualError) Error() string {
 // for a StallError enriched with the guard's diagnostics.
 var errStalled = errors.New("block: watchdog: progress counter stalled")
 
-// guardScratch holds the lazily allocated vectors of the verification
-// ladder (residual and correction). Solver and each Session own one, so
-// sessions verify concurrently without sharing.
-type guardScratch[T sparse.Float] struct {
-	r, d []T
-}
-
-func (gs *guardScratch[T]) grow(n int) {
-	if len(gs.r) < n {
-		gs.r = make([]T, n)
-		gs.d = make([]T, n)
-	}
-}
-
 // SolveContext computes x with L·x = b like Solve, with the guarded
 // extras selected by ctx and the solver's Options:
 //
@@ -88,64 +66,46 @@ func (gs *guardScratch[T]) grow(n int) {
 // programming errors, not solve outcomes. Like Solve, SolveContext is not
 // safe for concurrent use on the same Solver; use sessions.
 func (s *Solver[T]) SolveContext(ctx context.Context, b, x []T) error {
-	return s.solveContextWith(ctx, b, x, s.wp, s.xp, nil, &s.gs, &s.stats)
+	return s.ses.SolveContext(ctx, b, x)
 }
 
 // SolveContext is the session counterpart of Solver.SolveContext:
 // the same guarantees, private scratch, concurrency-safe across sessions.
 func (ses *Session[T]) SolveContext(ctx context.Context, b, x []T) error {
-	return ses.s.solveContextWith(ctx, b, x, ses.wp, ses.xp, ses.states, &ses.gs, &ses.stats)
+	if n := ses.s.n; len(b) != n || len(x) != n {
+		return fmt.Errorf("block: SolveContext got len(b)=%d len(x)=%d want %d", len(b), len(x), n)
+	}
+	return ses.solveContext(ctx, b, x, 1)
 }
 
-func (s *Solver[T]) solveContextWith(ctx context.Context, b, x []T, w, xpScratch []T, states []*kernels.SyncFreeState, gs *guardScratch[T], stats *SolveStats) error {
-	if len(b) != s.n || len(x) != s.n {
-		return fmt.Errorf("block: SolveContext got len(b)=%d len(x)=%d want %d", len(b), len(x), s.n)
-	}
+// solveContext is the guarded solve over k right-hand sides: it arms a
+// guard for ctx and Options.StallTimeout, runs the plan under it, and for
+// a single right-hand side runs the verification ladder when
+// Options.VerifyResidual is set.
+func (ses *Session[T]) solveContext(ctx context.Context, b, x []T, k int) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-
+	s := ses.s
 	g, stopWatchers := s.startGuard(ctx)
 	// Stop the watchers before returning — and before a kernel panic
 	// unwinds further, so no watchdog outlives its solve.
 	defer stopWatchers()
-
-	timed, solveT0 := s.solveClock()
-	xp := x
-	if s.perm != nil {
-		sparse.PermuteVecInto(w, b, s.perm)
-		xp = xpScratch
-	} else {
-		copy(w, b)
-	}
-	sid := s.beginTrace()
-	stats.LastTraceID = sid
-	if !s.solveStepsGuarded(w, xp, states, g, stats, sid) {
+	if !ses.run(b, x, k, g) {
 		return s.guardCause(g)
 	}
-	if faultinject.Enabled {
-		if row, v, ok := faultinject.Poison("solution"); ok && row < len(xp) {
-			xp[row] = T(v)
-		}
-	}
-	if s.perm != nil {
-		sparse.UnpermuteVecInto(x, xp, s.perm)
-	}
-	stats.Solves++
-	mSolves.Inc()
-	observeSolveTime(timed, solveT0)
-	if s.opts.VerifyResidual > 0 {
-		return s.verifyAndRecover(b, x, w, xpScratch, states, gs, stats)
+	if k == 1 && s.opts.VerifyResidual > 0 {
+		return ses.verifyAndRecover(b, x)
 	}
 	return nil
 }
 
-// startGuard arms the cancellation machinery shared by the guarded solve
-// paths: a fresh guard, a context watcher that trips it on cancellation,
-// and (when Options.StallTimeout is set) the stall watchdog. The returned
+// startGuard arms the cancellation machinery of a guarded solve: a fresh
+// guard, a context watcher that trips it on cancellation, and (when
+// Options.StallTimeout is set) the stall watchdog. The returned
 // stop function tears both watchers down and must run before the solve
 // returns — including while a kernel panic unwinds — so no watchdog ever
 // outlives its solve.
@@ -174,94 +134,6 @@ func (s *Solver[T]) startGuard(ctx context.Context) (*exec.Guard, func()) {
 	return g, func() {
 		close(stop)
 		watchers.Wait()
-	}
-}
-
-// solveStepsGuarded mirrors solveSteps with a guard check between blocks
-// and guarded kernels inside them. It reports whether the schedule ran to
-// completion; on false the guard holds the cause. Like solveSteps, the
-// per-step clock reads make the whole function a measurement site.
-//
-//sptrsv:hotpath
-//sptrsv:wallclock
-func (s *Solver[T]) solveStepsGuarded(w, xp []T, states []*kernels.SyncFreeState, g *exec.Guard, stats *SolveStats, sid int64) bool {
-	rec := s.opts.Trace
-	instrument := s.opts.Instrument
-	timed := instrument || rec != nil
-	for si, st := range s.steps {
-		if g.Tripped() {
-			return false
-		}
-		var t0 time.Time
-		if timed {
-			t0 = time.Now()
-		}
-		if s.labels != nil {
-			pprof.SetGoroutineLabels(s.labels[si])
-		}
-		if st.kind == triSeg {
-			if faultinject.Enabled {
-				faultinject.PanicAt("tri-block", st.idx)
-			}
-			tb := &s.tris[st.idx]
-			if !s.solveTriGuarded(tb, w[tb.lo:tb.hi], xp[tb.lo:tb.hi], stateFor(states, st.idx, tb), g) {
-				return false
-			}
-			mTriCalls[tb.kernel].Inc()
-			if timed {
-				d := time.Since(t0)
-				if instrument {
-					stats.TriTime += d
-					stats.TriCalls++
-				}
-				if rec != nil {
-					rec.record(sid, si, s.meta[si], uint8(tb.kernel), t0, d)
-				}
-			}
-		} else {
-			sb := &s.sqs[st.idx]
-			kernels.RunSpMV(s.pool, sb.kernel, sb.csr, sb.dcsr,
-				xp[sb.spec.colLo:sb.spec.colHi], w[sb.spec.rowLo:sb.spec.rowHi])
-			g.Step()
-			mSpMVCalls[sb.kernel].Inc()
-			if timed {
-				d := time.Since(t0)
-				if instrument {
-					stats.SpMVTime += d
-					stats.SpMVCalls++
-				}
-				if rec != nil {
-					rec.record(sid, si, s.meta[si], uint8(sb.kernel), t0, d)
-				}
-			}
-		}
-	}
-	if s.labels != nil {
-		pprof.SetGoroutineLabels(bgLabels)
-	}
-	return !g.Tripped()
-}
-
-//sptrsv:hotpath
-func (s *Solver[T]) solveTriGuarded(tb *triBlock[T], w, x []T, state *kernels.SyncFreeState, g *exec.Guard) bool {
-	switch tb.kernel {
-	case kernels.TriCompletelyParallel:
-		// No internal waits to guard; one launch, then one progress step.
-		kernels.TriDiagOnlySolve(s.pool, tb.diag, w, x)
-		g.Step()
-		return true
-	case kernels.TriLevelSet:
-		return kernels.TriLevelSetSolveGuarded(s.pool, tb.strictCSC, tb.diag, tb.info, w, x, g)
-	case kernels.TriSyncFree:
-		return kernels.TriSyncFreeSolveGuarded(s.pool, state, tb.strictCSC, tb.diag, w, x, g)
-	case kernels.TriCuSparseLike:
-		return kernels.TriCuSparseLikeSolveGuarded(s.pool, tb.sched, tb.strictCSR, tb.diag, w, x, g)
-	case kernels.TriSerial:
-		kernels.TriSerialSolve(tb.strictCSC, tb.diag, w, x)
-		g.Step()
-		return true
-	default:
-		panic(fmt.Sprintf("block: unresolved tri kernel %v", tb.kernel))
 	}
 }
 
@@ -313,8 +185,9 @@ func watchdog(g *exec.Guard, timeout time.Duration, stop <-chan struct{}) {
 // verifyAndRecover is the graceful-degradation ladder: check the scaled
 // residual, take one refinement step if allowed, fall back to the serial
 // reference, and only then give up with a ResidualError. The recovery
-// counters land in stats.
-func (s *Solver[T]) verifyAndRecover(b, x []T, w, xpScratch []T, states []*kernels.SyncFreeState, gs *guardScratch[T], stats *SolveStats) error {
+// counters land in the session's stats.
+func (ses *Session[T]) verifyAndRecover(b, x []T) error {
+	s := ses.s
 	if s.orig == nil {
 		return errors.New("block: VerifyResidual needs the original matrix, which a deserialised solver does not retain")
 	}
@@ -327,13 +200,15 @@ func (s *Solver[T]) verifyAndRecover(b, x []T, w, xpScratch []T, states []*kerne
 		// x += δ. The parallel path may have produced garbage (it just
 		// failed verification), but the correction reuses it anyway —
 		// when the failure was mild rounding, one step recovers it.
-		gs.grow(s.n)
-		s.residualInto(gs.r, b, x)
-		s.solveWith(gs.r, gs.d, w, xpScratch, states, stats)
-		for i := range x {
-			x[i] += gs.d[i]
+		if len(ses.r) < s.n {
+			ses.r, ses.d = make([]T, s.n), make([]T, s.n)
 		}
-		stats.Refinements++
+		s.residualInto(ses.r, b, x)
+		ses.run(ses.r, ses.d, 1, nil)
+		for i := range x {
+			x[i] += ses.d[i]
+		}
+		ses.stats.Refinements++
 		mRefinements.Inc()
 		if sparse.ScaledResidual(s.orig, x, b) <= tol {
 			return nil
@@ -341,7 +216,7 @@ func (s *Solver[T]) verifyAndRecover(b, x []T, w, xpScratch []T, states []*kerne
 	}
 	// Last rung: the serial reference on the untouched original matrix.
 	kernels.SerialSolveCSR(s.orig, b, x)
-	stats.Fallbacks++
+	ses.stats.Fallbacks++
 	mFallbacks.Inc()
 	if res := sparse.ScaledResidual(s.orig, x, b); res > tol {
 		return &ResidualError{Residual: res, Tol: tol}

@@ -1,6 +1,8 @@
 package block
 
 import (
+	"fmt"
+
 	"github.com/sss-lab/blocksptrsv/internal/kernels"
 	"github.com/sss-lab/blocksptrsv/internal/sparse"
 )
@@ -14,24 +16,24 @@ import (
 // Typical server usage: Analyze once, hand one Session to each request
 // goroutine.
 type Session[T sparse.Float] struct {
-	s        *Solver[T]
-	wp, xp   []T
-	wbp, xbp []T
+	s *Solver[T]
+	// wp and xp are the working and permuted-solution vectors, grown on
+	// first use to n·k for the widest batch seen; xp stays nil without a
+	// permutation. r and d are the verification ladder's residual and
+	// correction, grown on the first refinement.
+	wp, xp []T
+	r, d   []T
 	// states[i] is the private sync-free state of triangular block i, or
 	// nil when block i's kernel needs no mutable state.
 	states []*kernels.SyncFreeState
-	gs     guardScratch[T]
 	stats  SolveStats
 }
 
 // NewSession returns a fresh concurrent solving context. Sessions are
-// cheap relative to preprocessing: two n-vectors plus one int32 counter
-// array per sync-free block.
+// cheap relative to preprocessing: two n-vectors (allocated on the first
+// solve) plus one int32 counter array per sync-free block.
 func (s *Solver[T]) NewSession() *Session[T] {
-	ses := &Session[T]{s: s, wp: make([]T, s.n)}
-	if s.perm != nil {
-		ses.xp = make([]T, s.n)
-	}
+	ses := &Session[T]{s: s}
 	ses.states = make([]*kernels.SyncFreeState, len(s.tris))
 	for i := range s.tris {
 		if s.tris[i].kernel == kernels.TriSyncFree {
@@ -41,6 +43,18 @@ func (s *Solver[T]) NewSession() *Session[T] {
 		}
 	}
 	return ses
+}
+
+// grow sizes the working vectors for m = n·k entries.
+//
+//sptrsv:hotpath
+func (ses *Session[T]) grow(m int) {
+	//lint:ignore hotpathalloc scratch grows once per session, to the widest batch it solves
+	ses.wp = make([]T, m)
+	if ses.s.perm != nil {
+		//lint:ignore hotpathalloc scratch grows once per session, to the widest batch it solves
+		ses.xp = make([]T, m)
+	}
 }
 
 // Rows reports the system size.
@@ -63,21 +77,16 @@ func (ses *Session[T]) ResetStats() { ses.stats = SolveStats{} }
 //
 //sptrsv:hotpath
 func (ses *Session[T]) Solve(b, x []T) {
-	ses.s.solveWith(b, x, ses.wp, ses.xp, ses.states, &ses.stats)
+	if n := ses.s.n; len(b) != n || len(x) != n {
+		panic(fmt.Sprintf("block: Solve got len(b)=%d len(x)=%d want %d", len(b), len(x), n))
+	}
+	ses.run(b, x, 1, nil)
 }
 
 // SolveBatch is the batched counterpart of Solve (see Solver.SolveBatch).
 func (ses *Session[T]) SolveBatch(b, x []T, k int) {
-	if k == 1 {
-		ses.Solve(b, x)
-		return
+	if n := ses.s.n; k <= 0 || len(b) != n*k || len(x) != n*k {
+		panic(fmt.Sprintf("block: SolveBatch got len(b)=%d len(x)=%d k=%d want %d", len(b), len(x), k, n*k))
 	}
-	n := ses.s.n
-	if k > 1 && len(ses.wbp) < n*k {
-		ses.wbp = make([]T, n*k)
-		if ses.s.perm != nil {
-			ses.xbp = make([]T, n*k)
-		}
-	}
-	ses.s.solveBatchWith(b, x, k, ses.wbp, ses.xbp, ses.states, &ses.stats)
+	ses.run(b, x, k, nil)
 }

@@ -387,7 +387,8 @@ func TestTraceGuardedPath(t *testing.T) {
 // TestTraceBatchPaths: the batched solve paths assign one solve id per
 // batch, record one step entry per plan step (same as single-RHS), and
 // expose the id through SolveStats.LastTraceID so request-scoped spans
-// can link to the step trace.
+// can link to the step trace. They feed Options.Instrument like the
+// single-RHS paths: one counted call per recorded step.
 func TestTraceBatchPaths(t *testing.T) {
 	rec := NewTraceRecorder(1 << 12)
 	s, b, _ := traceTestSolver(t, rec)
@@ -400,10 +401,18 @@ func TestTraceBatchPaths(t *testing.T) {
 	}
 	xb := make([]float64, n*k)
 
+	instrumented := func(what string, st SolveStats, want int64) {
+		t.Helper()
+		if got := st.TriCalls + st.SpMVCalls; got != want {
+			t.Fatalf("after %s stats count %d steps, trace recorded %d", what, got, want)
+		}
+	}
+
 	s.SolveBatch(bb, xb, k)
 	if got := rec.Total(); got != int64(steps) {
 		t.Fatalf("SolveBatch recorded %d steps, want %d", got, steps)
 	}
+	instrumented("SolveBatch", s.Stats(), rec.Total())
 	firstID := s.Stats().LastTraceID
 	if firstID == 0 {
 		t.Fatal("SolveBatch left LastTraceID unset")
@@ -415,6 +424,7 @@ func TestTraceBatchPaths(t *testing.T) {
 	if got := rec.Total(); got != int64(2*steps) {
 		t.Fatalf("after SolveBatchContext recorded %d steps, want %d", got, 2*steps)
 	}
+	instrumented("SolveBatchContext", s.Stats(), rec.Total())
 	secondID := s.Stats().LastTraceID
 	if secondID != firstID+1 {
 		t.Fatalf("batch solve ids not sequential: %d then %d", firstID, secondID)
@@ -433,6 +443,12 @@ func TestTraceBatchPaths(t *testing.T) {
 	}
 	if got := ses.Stats().LastTraceID; got != secondID+1 {
 		t.Fatalf("session batch id = %d, want %d", got, secondID+1)
+	}
+	instrumented("Session.SolveBatchContext", ses.Stats(), int64(steps))
+	ses.SolveBatch(bb, xb, k)
+	instrumented("Session.SolveBatch", ses.Stats(), int64(2*steps))
+	if got := rec.Total(); got != int64(4*steps) {
+		t.Fatalf("after the session batches recorded %d steps, want %d", got, 4*steps)
 	}
 
 	// Without a recorder the id stays zero — the untraced marker.

@@ -51,6 +51,10 @@ func (b *panicBox) Repanic() {
 // Trip is first-wins: the first cause sticks, later trips are ignored.
 // Polling a tripped guard costs one atomic bool load — the only overhead
 // the guarded spin loops add per iteration.
+//
+// A nil *Guard is a guard that never trips: Tripped reports false, Step
+// and ReportStall do nothing and Trip returns false. Solves that ask for
+// no guarantees pass nil and pay one nil check per poll.
 type Guard struct {
 	tripped atomic.Bool
 	mu      sync.Mutex
@@ -72,6 +76,9 @@ func NewGuard() *Guard {
 // Trip poisons the guard with a cause. Only the first call wins; it
 // reports whether this call was the one that tripped the guard.
 func (g *Guard) Trip(cause error) bool {
+	if g == nil {
+		return false
+	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.tripped.Load() {
@@ -86,7 +93,7 @@ func (g *Guard) Trip(cause error) bool {
 // Tripped reports whether the guard has been poisoned.
 //
 //sptrsv:hotpath
-func (g *Guard) Tripped() bool { return g.tripped.Load() }
+func (g *Guard) Tripped() bool { return g != nil && g.tripped.Load() }
 
 // Cause returns the error the guard was tripped with, or nil.
 func (g *Guard) Cause() error {
@@ -100,7 +107,11 @@ func (g *Guard) Cause() error {
 // stops moving.
 //
 //sptrsv:hotpath
-func (g *Guard) Step() { g.progress.Add(1) }
+func (g *Guard) Step() {
+	if g != nil {
+		g.progress.Add(1)
+	}
+}
 
 // Progress returns the number of work items completed so far.
 func (g *Guard) Progress() int64 { return g.progress.Load() }
@@ -111,6 +122,9 @@ func (g *Guard) Progress() int64 { return g.progress.Load() }
 //
 //sptrsv:hotpath
 func (g *Guard) ReportStall(row int, indeg int32) {
+	if g == nil {
+		return
+	}
 	for {
 		cur := g.stallRow.Load()
 		if cur >= 0 && cur <= int64(row) {
@@ -138,7 +152,7 @@ func (g *Guard) Stall() (row int, indeg int32, ok bool) {
 // load per iteration is the entire per-iteration cost of the guarded
 // solve path's spin loops. Like SpinUntilZero, the already-resolved fast
 // path is one atomic load that inlines into the kernel; the wait loop is
-// outlined.
+// outlined. With a nil guard it waits like SpinUntilZero.
 //
 //sptrsv:hotpath
 func SpinUntilZeroGuarded(c *atomic.Int32, g *Guard) bool {
@@ -154,7 +168,7 @@ func spinUntilZeroGuardedSlow(c *atomic.Int32, g *Guard) bool {
 		if c.Load() == 0 {
 			return true
 		}
-		if g.tripped.Load() {
+		if g.Tripped() {
 			return false
 		}
 		if spins&63 == 63 {
