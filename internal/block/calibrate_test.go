@@ -57,8 +57,11 @@ func TestCalibrateDropsLoserStructures(t *testing.T) {
 		if tb.kernel != kernels.TriSyncFree && tb.state != nil {
 			t.Fatal("sync-free state kept by non-sync-free block")
 		}
-		if tb.kernel != kernels.TriCuSparseLike && (tb.strictCSR != nil || tb.sched != nil) {
-			t.Fatal("cusparse structures kept by other kernel")
+		if tb.kernel != kernels.TriCuSparseLike && tb.sched != nil {
+			t.Fatal("cusparse schedule kept by other kernel")
+		}
+		if gatherKernel(tb.kernel) != (tb.strictCSR != nil) {
+			t.Fatalf("%v block: strict CSR kept=%v, want it exactly for the gather-form kernels", tb.kernel, tb.strictCSR != nil)
 		}
 		if tb.strictCSC == nil {
 			t.Fatal("strict CSC dropped")

@@ -363,7 +363,7 @@ func (d *Daemon) Stats() []MatrixStats {
 			NNZ:       p.nnz,
 			Queued:    len(p.queue),
 			Capacity:  cap(p.queue),
-			Batches:   p.batches.Load(),
+			Batches:   p.batches.Load(), // before batched: see solveBatch
 			Batched:   p.batched.Load(),
 			Shed:      p.shed.Load(),
 			Expired:   p.expired.Load(),

@@ -168,10 +168,12 @@ func (w *workerState) solveBatch(batch []*request) {
 		// One solve id covers the whole coalesced batch: every member's
 		// span links to the same per-step trace records.
 		sid := w.ses.Stats().LastTraceID
-		p.batches.Add(1)
-		mBatches.Inc()
+		// Right-hand sides before batches: Stats loads batches first, so
+		// a snapshot never counts a batch without its right-hand sides.
 		p.batched.Add(int64(len(live)))
 		mBatchedRHS.Add(int64(len(live)))
+		p.batches.Add(1)
+		mBatches.Inc()
 		for _, r := range live {
 			r.sp.MarkSolveEnd(sid)
 			r.done <- nil
@@ -189,10 +191,10 @@ func (w *workerState) solveBatch(batch []*request) {
 			p.errors.Add(1)
 			mErrors.Inc()
 		} else {
-			p.batches.Add(1)
-			mBatches.Inc()
 			p.batched.Add(1)
 			mBatchedRHS.Inc()
+			p.batches.Add(1)
+			mBatches.Inc()
 		}
 		r.done <- rerr
 	}

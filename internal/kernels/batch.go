@@ -83,86 +83,17 @@ func TriDiagOnlySolveBatch[T sparse.Float](p exec.Launcher, diag []T, w, x []T, 
 	})
 }
 
-// TriLevelSetSolveBatch runs the level-set kernel over an n×k block:
-// one launch per level, scatter updates with per-element atomic adds.
+// gatherRowBatch is gatherRow over an n×k block: row(i, sum) solves the
+// k right-hand sides of component i, using sum (length k) as the
+// accumulator. Each column's sum is taken in ascending column order, the
+// update order of TriSerialSolveBatch, so the gather-form batch kernels
+// agree with it bit for bit.
 //
 //sptrsv:hotpath
-func TriLevelSetSolveBatch[T sparse.Float](p exec.Launcher, strict *sparse.CSC[T], diag []T, info *levelset.Info, w, x []T, k int) {
-	colPtr, rowIdx, vals := strict.ColPtr, strict.RowIdx, strict.Val
-	for l := 0; l < info.NLevels; l++ {
-		lo, hi := info.LevelPtr[l], info.LevelPtr[l+1]
-		items := info.LevelItem[lo:hi]
-		p.ParallelFor(len(items), 0, func(a, b int) {
-			its := items[a:b]
-			for t := range its {
-				j := its[t]
-				inv := 1 / diag[j]
-				xj := x[j*k:][:k]
-				scaleInto(xj, w[j*k:][:k], inv)
-				klo, khi := colPtr[j], colPtr[j+1]
-				rows := rowIdx[klo:khi]
-				vs := vals[klo:khi][:len(rows)]
-				for kk := range rows {
-					v := vs[kk]
-					wr := w[rows[kk]*k:][:len(xj)]
-					for r := range wr {
-						exec.AtomicAddFloat(&wr[r], -v*xj[r])
-					}
-				}
-			}
-		})
-	}
-}
-
-// TriSyncFreeSolveBatch runs the sync-free kernel over an n×k block. The
-// in-degree of a component is decremented once per dependency after all k
-// of its updates have been published, preserving the release/acquire
-// pairing of the single-vector kernel.
-//
-//sptrsv:hotpath
-func TriSyncFreeSolveBatch[T sparse.Float](p exec.Launcher, state *SyncFreeState, strict *sparse.CSC[T], diag []T, w, x []T, k int) {
-	n := len(diag)
-	if n == 0 {
-		return
-	}
-	state.reset()
-	colPtr, rowIdx, vals := strict.ColPtr, strict.RowIdx, strict.Val
-	indeg := state.indeg
-	var next atomic.Int64
-	p.Run(func(worker int) {
-		for {
-			j := int(next.Add(1)) - 1
-			if j >= n {
-				return
-			}
-			exec.SpinUntilZero(&indeg[j].V)
-			inv := 1 / diag[j]
-			xj := x[j*k:][:k]
-			scaleInto(xj, w[j*k:][:k], inv)
-			klo, khi := colPtr[j], colPtr[j+1]
-			rows := rowIdx[klo:khi]
-			vs := vals[klo:khi][:len(rows)]
-			for kk := range rows {
-				v := vs[kk]
-				row := rows[kk]
-				wr := w[row*k:][:len(xj)]
-				for r := range wr {
-					exec.AtomicAddFloat(&wr[r], -v*xj[r])
-				}
-				indeg[row].V.Add(-1)
-			}
-		}
-	})
-}
-
-// TriCuSparseLikeSolveBatch runs the merged level-set kernel over an n×k
-// block in gather form (no atomics).
-//
-//sptrsv:hotpath
-func TriCuSparseLikeSolveBatch[T sparse.Float](p exec.Launcher, sched *MergedSchedule, strictCSR *sparse.CSR[T], diag []T, w, x []T, k int) {
+func gatherRowBatch[T sparse.Float](strictCSR *sparse.CSR[T], diag, w, x []T, k int) func(i int, sum []T) {
 	rowPtr, colIdx, vals := strictCSR.RowPtr, strictCSR.ColIdx, strictCSR.Val
-	//lint:ignore hotpathalloc,escapecheck one row closure per solve, shared by every chunk launch below
-	row := func(i int, sum []T) {
+	//lint:ignore hotpathalloc,escapecheck one row closure per solve, shared by every launch of the solve
+	return func(i int, sum []T) {
 		copy(sum, w[i*k:][:k])
 		klo, khi := rowPtr[i], rowPtr[i+1]
 		cols := colIdx[klo:khi]
@@ -177,28 +108,87 @@ func TriCuSparseLikeSolveBatch[T sparse.Float](p exec.Launcher, sched *MergedSch
 		inv := 1 / diag[i]
 		scaleInto(x[i*k:][:k], sum, inv)
 	}
-	for c := 0; c < len(sched.serial); c++ {
-		lo, hi := sched.chunkPtr[c], sched.chunkPtr[c+1]
-		items := sched.items[lo:hi]
-		if sched.serial[c] {
+}
+
+// gatherLaunchesBatch is gatherLaunches over an n×k block; every launch
+// chunk owns one k-length accumulator.
+//
+//sptrsv:hotpath
+func gatherLaunchesBatch[T sparse.Float](p exec.Launcher, chunkPtr []int, serial []bool, items []int, row func(int, []T), k int) {
+	for c := 0; c+1 < len(chunkPtr); c++ {
+		its := items[chunkPtr[c]:chunkPtr[c+1]]
+		if c < len(serial) && serial[c] {
 			p.ParallelFor(1, 1, func(_, _ int) {
 				//lint:ignore hotpathalloc,escapecheck per-launch RHS accumulator scratch
 				sum := make([]T, k)
-				for t := range items {
-					row(items[t], sum)
+				for t := range its {
+					row(its[t], sum)
 				}
 			})
 			continue
 		}
-		p.ParallelFor(len(items), 0, func(a, b int) {
+		p.ParallelFor(len(its), 0, func(a, b int) {
 			//lint:ignore hotpathalloc,escapecheck per-launch RHS accumulator scratch
 			sum := make([]T, k)
-			its := items[a:b]
-			for t := range its {
-				row(its[t], sum)
+			chunk := its[a:b]
+			for t := range chunk {
+				row(chunk[t], sum)
 			}
 		})
 	}
+}
+
+// TriLevelSetSolveBatch runs the level-set kernel over an n×k block: one
+// launch per level.
+//
+//sptrsv:hotpath
+func TriLevelSetSolveBatch[T sparse.Float](p exec.Launcher, strictCSR *sparse.CSR[T], diag []T, info *levelset.Info, w, x []T, k int) {
+	//lint:ignore escapecheck the inlined gatherRowBatch closure, one per solve
+	gatherLaunchesBatch(p, info.LevelPtr[:info.NLevels+1], nil, info.LevelItem, gatherRowBatch(strictCSR, diag, w, x, k), k)
+}
+
+// TriSyncFreeSolveBatch runs the sync-free kernel over an n×k block. A
+// component's k solutions are all written before it decrements the
+// in-degrees of its dependents, preserving the release/acquire pairing of
+// the single-vector kernel.
+//
+//sptrsv:hotpath
+func TriSyncFreeSolveBatch[T sparse.Float](p exec.Launcher, state *SyncFreeState, strict *sparse.CSC[T], strictCSR *sparse.CSR[T], diag []T, w, x []T, k int) {
+	n := len(diag)
+	if n == 0 {
+		return
+	}
+	state.reset()
+	//lint:ignore escapecheck the inlined gatherRowBatch closure, one per solve
+	row := gatherRowBatch(strictCSR, diag, w, x, k)
+	colPtr, rowIdx := strict.ColPtr, strict.RowIdx
+	indeg := state.indeg
+	var next atomic.Int64
+	p.Run(func(worker int) {
+		//lint:ignore hotpathalloc,escapecheck per-worker RHS accumulator scratch
+		sum := make([]T, k)
+		for {
+			j := int(next.Add(1)) - 1
+			if j >= n {
+				return
+			}
+			exec.SpinUntilZero(&indeg[j].V)
+			row(j, sum)
+			rows := rowIdx[colPtr[j]:colPtr[j+1]]
+			for kk := range rows {
+				indeg[rows[kk]].V.Add(-1)
+			}
+		}
+	})
+}
+
+// TriCuSparseLikeSolveBatch runs the merged level-set kernel over an n×k
+// block.
+//
+//sptrsv:hotpath
+func TriCuSparseLikeSolveBatch[T sparse.Float](p exec.Launcher, sched *MergedSchedule, strictCSR *sparse.CSR[T], diag []T, w, x []T, k int) {
+	//lint:ignore escapecheck the inlined gatherRowBatch closure, one per solve
+	gatherLaunchesBatch(p, sched.chunkPtr, sched.serial, sched.items, gatherRowBatch(strictCSR, diag, w, x, k), k)
 }
 
 // SpMVScalarCSRSubBatch computes W -= A·X over n×k blocks, one worker
@@ -227,8 +217,8 @@ func SpMVScalarCSRSubBatch[T sparse.Float](p exec.Launcher, a *sparse.CSR[T], x,
 	})
 }
 
-// SpMVVectorCSRSubBatch computes W -= A·X with nnz-balanced chunks;
-// boundary rows combine with per-element atomic adds.
+// SpMVVectorCSRSubBatch computes W -= A·X with nnz-balanced segments;
+// cut rows are finished by foldCarries, as in SpMVVectorCSRSub.
 //
 //sptrsv:hotpath
 func SpMVVectorCSRSubBatch[T sparse.Float](p exec.Launcher, a *sparse.CSR[T], x, w []T, k int) {
@@ -236,52 +226,54 @@ func SpMVVectorCSRSubBatch[T sparse.Float](p exec.Launcher, a *sparse.CSR[T], x,
 	if nnz == 0 {
 		return
 	}
-	grain := nnz / (p.Workers() * 8)
-	if grain < 1 {
-		grain = 1
-	}
+	grain, nseg := vectorSegments(nnz, p.Workers())
 	rowPtr, colIdx, vals := a.RowPtr, a.ColIdx, a.Val
 	rows := a.Rows
-	p.ParallelFor(nnz, grain, func(lo, hi int) {
+	//lint:ignore hotpathalloc,escapecheck per-launch carry slots, k per segment
+	carry := make([]T, nseg*k)
+	p.ParallelFor(nseg, 1, func(slo, shi int) {
 		//lint:ignore hotpathalloc,escapecheck per-launch RHS accumulator scratch
 		sum := make([]T, k)
-		i := sort.SearchInts(rowPtr, lo+1) - 1
-		for i < rows && rowPtr[i] < hi {
-			klo, khi := rowPtr[i], rowPtr[i+1]
-			cut := klo < lo || khi > hi
-			if klo < lo {
-				klo = lo
+		for seg := slo; seg < shi; seg++ {
+			lo, hi := seg*grain, seg*grain+grain
+			if hi > nnz {
+				hi = nnz
 			}
-			if khi > hi {
-				khi = hi
-			}
-			for r := range sum {
-				sum[r] = 0
-			}
-			cols := colIdx[klo:khi]
-			vs := vals[klo:khi][:len(cols)]
-			for kk := range cols {
-				v := vs[kk]
-				xc := x[cols[kk]*k:][:len(sum)]
-				for r := range xc {
-					sum[r] += v * xc[r]
+			i := sort.SearchInts(rowPtr, lo+1) - 1
+			for i < rows && rowPtr[i] < hi {
+				klo, khi := rowPtr[i], rowPtr[i+1]
+				head := klo < lo
+				if klo < lo {
+					klo = lo
 				}
-			}
-			wi := w[i*k:][:len(sum)]
-			if cut {
-				for r := range wi {
-					if sum[r] != 0 {
-						exec.AtomicAddFloat(&wi[r], -sum[r])
+				if khi > hi {
+					khi = hi
+				}
+				for r := range sum {
+					sum[r] = 0
+				}
+				cols := colIdx[klo:khi]
+				vs := vals[klo:khi][:len(cols)]
+				for kk := range cols {
+					v := vs[kk]
+					xc := x[cols[kk]*k:][:len(sum)]
+					for r := range xc {
+						sum[r] += v * xc[r]
 					}
 				}
-			} else {
-				for r := range wi {
-					wi[r] -= sum[r]
+				if head {
+					copy(carry[seg*k:][:k], sum)
+				} else {
+					wi := w[i*k:][:len(sum)]
+					for r := range wi {
+						wi[r] -= sum[r]
+					}
 				}
+				i++
 			}
-			i++
 		}
 	})
+	foldCarries(rowPtr, nil, grain, k, carry, w)
 }
 
 // SpMVScalarDCSRSubBatch is SpMVScalarCSRSubBatch over stored rows only.
@@ -314,52 +306,54 @@ func SpMVVectorDCSRSubBatch[T sparse.Float](p exec.Launcher, a *sparse.DCSR[T], 
 	if nnz == 0 {
 		return
 	}
-	grain := nnz / (p.Workers() * 8)
-	if grain < 1 {
-		grain = 1
-	}
+	grain, nseg := vectorSegments(nnz, p.Workers())
 	rowPtr, rowIdx, colIdx, vals := a.RowPtr, a.RowIdx, a.ColIdx, a.Val
 	stored := a.StoredRows()
-	p.ParallelFor(nnz, grain, func(lo, hi int) {
+	//lint:ignore hotpathalloc,escapecheck per-launch carry slots, k per segment
+	carry := make([]T, nseg*k)
+	p.ParallelFor(nseg, 1, func(slo, shi int) {
 		//lint:ignore hotpathalloc,escapecheck per-launch RHS accumulator scratch
 		sum := make([]T, k)
-		s := sort.SearchInts(rowPtr, lo+1) - 1
-		for s < stored && rowPtr[s] < hi {
-			klo, khi := rowPtr[s], rowPtr[s+1]
-			cut := klo < lo || khi > hi
-			if klo < lo {
-				klo = lo
+		for seg := slo; seg < shi; seg++ {
+			lo, hi := seg*grain, seg*grain+grain
+			if hi > nnz {
+				hi = nnz
 			}
-			if khi > hi {
-				khi = hi
-			}
-			for r := range sum {
-				sum[r] = 0
-			}
-			cols := colIdx[klo:khi]
-			vs := vals[klo:khi][:len(cols)]
-			for kk := range cols {
-				v := vs[kk]
-				xc := x[cols[kk]*k:][:len(sum)]
-				for r := range xc {
-					sum[r] += v * xc[r]
+			s := sort.SearchInts(rowPtr, lo+1) - 1
+			for s < stored && rowPtr[s] < hi {
+				klo, khi := rowPtr[s], rowPtr[s+1]
+				head := klo < lo
+				if klo < lo {
+					klo = lo
 				}
-			}
-			wi := w[rowIdx[s]*k:][:len(sum)]
-			if cut {
-				for r := range wi {
-					if sum[r] != 0 {
-						exec.AtomicAddFloat(&wi[r], -sum[r])
+				if khi > hi {
+					khi = hi
+				}
+				for r := range sum {
+					sum[r] = 0
+				}
+				cols := colIdx[klo:khi]
+				vs := vals[klo:khi][:len(cols)]
+				for kk := range cols {
+					v := vs[kk]
+					xc := x[cols[kk]*k:][:len(sum)]
+					for r := range xc {
+						sum[r] += v * xc[r]
 					}
 				}
-			} else {
-				for r := range wi {
-					wi[r] -= sum[r]
+				if head {
+					copy(carry[seg*k:][:k], sum)
+				} else {
+					wi := w[rowIdx[s]*k:][:len(sum)]
+					for r := range wi {
+						wi[r] -= sum[r]
+					}
 				}
+				s++
 			}
-			s++
 		}
 	})
+	foldCarries(rowPtr, rowIdx, grain, k, carry, w)
 }
 
 // SpMVSerialSubBatch is the serial reference for the batched SpMV update.

@@ -48,12 +48,12 @@ func TestTriBatchKernelsMatchSerialBatch(t *testing.T) {
 
 			x := make([]float64, n*k)
 			w = append(w[:0], b...)
-			TriLevelSetSolveBatch(p, strict, diag, info, w, x, k)
+			TriLevelSetSolveBatch(p, strict.ToCSR(), diag, info, w, x, k)
 			check("level-set", x)
 
 			x = make([]float64, n*k)
 			w = append(w[:0], b...)
-			TriSyncFreeSolveBatch(p, NewSyncFreeState(strict), strict, diag, w, x, k)
+			TriSyncFreeSolveBatch(p, NewSyncFreeState(strict), strict, strict.ToCSR(), diag, w, x, k)
 			check("sync-free", x)
 
 			x = make([]float64, n*k)
@@ -121,7 +121,7 @@ func TestSpMVBatchKernelsMatchSerialBatch(t *testing.T) {
 func TestTriSyncFreeBatchEmptyAndChain(t *testing.T) {
 	p := exec.NewPool(2)
 	strict := &sparse.CSC[float64]{Rows: 0, Cols: 0, ColPtr: []int{0}}
-	TriSyncFreeSolveBatch(p, NewSyncFreeState(strict), strict, nil, nil, nil, 3)
+	TriSyncFreeSolveBatch(p, NewSyncFreeState(strict), strict, strict.ToCSR(), nil, nil, nil, 3)
 
 	// Fully serial chain under a tiny pool: deadlock-freedom for batches.
 	l := chainLower(300)
@@ -136,7 +136,7 @@ func TestTriSyncFreeBatchEmptyAndChain(t *testing.T) {
 	}
 	x := make([]float64, 300*k)
 	w := append([]float64(nil), b...)
-	TriSyncFreeSolveBatch(p, NewSyncFreeState(strictC), strictC, diag, w, x, k)
+	TriSyncFreeSolveBatch(p, NewSyncFreeState(strictC), strictC, strictC.ToCSR(), diag, w, x, k)
 	want := make([]float64, 300*k)
 	w = append(w[:0], b...)
 	TriSerialSolveBatch(strictC, diag, w, want, k)

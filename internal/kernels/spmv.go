@@ -98,8 +98,9 @@ func SpMVScalarCSRSub[T sparse.Float](p exec.Launcher, a *sparse.CSR[T], x, w []
 // SpMVVectorCSRSub computes w -= A·x splitting the nonzeros (not the rows)
 // evenly across workers — the paper's vector-CSR kernel, which keeps
 // power-law matrices load-balanced by letting several workers cooperate on
-// one long row the way a warp does on a GPU. Rows cut by a chunk boundary
-// are combined with atomic adds; interior rows are written directly.
+// one long row the way a warp does on a GPU. A row cut by a segment
+// boundary is written by the segment it begins in; the later segments
+// carry their parts to foldCarries.
 //
 //sptrsv:hotpath
 func SpMVVectorCSRSub[T sparse.Float](p exec.Launcher, a *sparse.CSR[T], x, w []T) {
@@ -107,54 +108,102 @@ func SpMVVectorCSRSub[T sparse.Float](p exec.Launcher, a *sparse.CSR[T], x, w []
 	if nnz == 0 {
 		return
 	}
-	grain := nnz / (p.Workers() * 8)
+	grain, nseg := vectorSegments(nnz, p.Workers())
+	rowPtr, colIdx, vals := a.RowPtr, a.ColIdx, a.Val
+	rows := a.Rows
+	//lint:ignore hotpathalloc,escapecheck per-launch carry slots, one per segment
+	carry := make([]T, nseg)
+	p.ParallelFor(nseg, 1, func(slo, shi int) {
+		for seg := slo; seg < shi; seg++ {
+			lo, hi := seg*grain, seg*grain+grain
+			if hi > nnz {
+				hi = nnz
+			}
+			// First row whose range intersects [lo,hi).
+			i := sort.SearchInts(rowPtr, lo+1) - 1
+			for i < rows && rowPtr[i] < hi {
+				klo, khi := rowPtr[i], rowPtr[i+1]
+				head := klo < lo // row begun in an earlier segment
+				if klo < lo {
+					klo = lo
+				}
+				if khi > hi {
+					khi = hi
+				}
+				var s0, s1 T
+				if khi-klo < 4 { // short row: direct indexing, see file comment
+					for k := klo; k < khi; k++ {
+						s0 += vals[k] * x[colIdx[k]]
+					}
+				} else {
+					cols := colIdx[klo:khi]
+					vs := vals[klo:khi][:len(cols)]
+					for len(cols) >= 4 && len(vs) >= 4 {
+						c0, c1, c2, c3 := cols[0], cols[1], cols[2], cols[3]
+						s0 += vs[0]*x[c0] + vs[2]*x[c2]
+						s1 += vs[1]*x[c1] + vs[3]*x[c3]
+						cols = cols[4:]
+						vs = vs[4:]
+					}
+					vs = vs[:len(cols)]
+					for k := range cols {
+						s0 += vs[k] * x[cols[k]]
+					}
+				}
+				if sum := s0 + s1; head {
+					carry[seg] = sum
+				} else if sum != 0 {
+					w[i] -= sum
+				}
+				i++
+			}
+		}
+	})
+	foldCarries(rowPtr, nil, grain, 1, carry, w)
+}
+
+// vectorSegments fixes the nonzero split of the vector kernels: nseg
+// segments of grain nonzeros, about eight per worker. The split depends on
+// nnz and the pool's worker count only — not on how a launcher chunks the
+// launch — and no float is added atomically, so the vector kernels give
+// the same bits on every run.
+//
+//sptrsv:hotpath
+func vectorSegments(nnz, workers int) (grain, nseg int) {
+	grain = nnz / (workers * 8)
 	if grain < 1 {
 		grain = 1
 	}
-	rowPtr, colIdx, vals := a.RowPtr, a.ColIdx, a.Val
-	rows := a.Rows
-	p.ParallelFor(nnz, grain, func(lo, hi int) {
-		// First row whose range intersects [lo,hi).
-		i := sort.SearchInts(rowPtr, lo+1) - 1
-		for i < rows && rowPtr[i] < hi {
-			klo, khi := rowPtr[i], rowPtr[i+1]
-			cut := klo < lo || khi > hi // row shared with another chunk
-			if klo < lo {
-				klo = lo
-			}
-			if khi > hi {
-				khi = hi
-			}
-			var s0, s1 T
-			if khi-klo < 4 { // short row: direct indexing, see file comment
-				for k := klo; k < khi; k++ {
-					s0 += vals[k] * x[colIdx[k]]
-				}
-			} else {
-				cols := colIdx[klo:khi]
-				vs := vals[klo:khi][:len(cols)]
-				for len(cols) >= 4 && len(vs) >= 4 {
-					c0, c1, c2, c3 := cols[0], cols[1], cols[2], cols[3]
-					s0 += vs[0]*x[c0] + vs[2]*x[c2]
-					s1 += vs[1]*x[c1] + vs[3]*x[c3]
-					cols = cols[4:]
-					vs = vs[4:]
-				}
-				vs = vs[:len(cols)]
-				for k := range cols {
-					s0 += vs[k] * x[cols[k]]
-				}
-			}
-			if sum := s0 + s1; sum != 0 {
-				if cut {
-					exec.AtomicAddFloat(&w[i], -sum)
-				} else {
-					w[i] -= sum
-				}
-			}
-			i++
+	return grain, (nnz + grain - 1) / grain
+}
+
+// foldCarries finishes the rows the vector kernels' segments cut: after
+// the launch, the part of a row that segment seg carried (carry[seg*k:],
+// k values) is subtracted from the row, in segment order, after the part
+// the row's first segment wrote directly. rowIdx maps stored rows to rows
+// for DCSR and is nil for CSR.
+//
+//sptrsv:hotpath
+func foldCarries[T sparse.Float](rowPtr, rowIdx []int, grain, k int, carry, w []T) {
+	nseg := len(carry) / k
+	for seg := 1; seg < nseg; seg++ {
+		lo := seg * grain
+		s := sort.SearchInts(rowPtr, lo+1) - 1
+		if rowPtr[s] == lo {
+			continue // the segment begins on a row boundary and carries nothing
 		}
-	})
+		i := s
+		if rowIdx != nil {
+			i = rowIdx[s]
+		}
+		c := carry[seg*k:][:k]
+		wi := w[i*k:][:len(c)]
+		for r := range wi {
+			if c[r] != 0 {
+				wi[r] -= c[r]
+			}
+		}
+	}
 }
 
 // SpMVScalarDCSRSub is scalar-CSR over a doubly-compressed block: one
@@ -195,8 +244,8 @@ func SpMVScalarDCSRSub[T sparse.Float](p exec.Launcher, a *sparse.DCSR[T], x, w 
 }
 
 // SpMVVectorDCSRSub is vector-CSR over a doubly-compressed block:
-// nnz-balanced chunks over the stored rows, boundary rows combined
-// atomically.
+// nnz-balanced segments over the stored rows, cut rows finished by
+// foldCarries.
 //
 //sptrsv:hotpath
 func SpMVVectorDCSRSub[T sparse.Float](p exec.Launcher, a *sparse.DCSR[T], x, w []T) {
@@ -204,54 +253,57 @@ func SpMVVectorDCSRSub[T sparse.Float](p exec.Launcher, a *sparse.DCSR[T], x, w 
 	if nnz == 0 {
 		return
 	}
-	grain := nnz / (p.Workers() * 8)
-	if grain < 1 {
-		grain = 1
-	}
+	grain, nseg := vectorSegments(nnz, p.Workers())
 	rowPtr, rowIdx, colIdx, vals := a.RowPtr, a.RowIdx, a.ColIdx, a.Val
 	stored := a.StoredRows()
-	p.ParallelFor(nnz, grain, func(lo, hi int) {
-		s := sort.SearchInts(rowPtr, lo+1) - 1
-		for s < stored && rowPtr[s] < hi {
-			klo, khi := rowPtr[s], rowPtr[s+1]
-			cut := klo < lo || khi > hi
-			if klo < lo {
-				klo = lo
+	//lint:ignore hotpathalloc,escapecheck per-launch carry slots, one per segment
+	carry := make([]T, nseg)
+	p.ParallelFor(nseg, 1, func(slo, shi int) {
+		for seg := slo; seg < shi; seg++ {
+			lo, hi := seg*grain, seg*grain+grain
+			if hi > nnz {
+				hi = nnz
 			}
-			if khi > hi {
-				khi = hi
-			}
-			var s0, s1 T
-			if khi-klo < 4 { // short row: direct indexing, see file comment
-				for k := klo; k < khi; k++ {
-					s0 += vals[k] * x[colIdx[k]]
+			s := sort.SearchInts(rowPtr, lo+1) - 1
+			for s < stored && rowPtr[s] < hi {
+				klo, khi := rowPtr[s], rowPtr[s+1]
+				head := klo < lo
+				if klo < lo {
+					klo = lo
 				}
-			} else {
-				cols := colIdx[klo:khi]
-				vs := vals[klo:khi][:len(cols)]
-				for len(cols) >= 4 && len(vs) >= 4 {
-					c0, c1, c2, c3 := cols[0], cols[1], cols[2], cols[3]
-					s0 += vs[0]*x[c0] + vs[2]*x[c2]
-					s1 += vs[1]*x[c1] + vs[3]*x[c3]
-					cols = cols[4:]
-					vs = vs[4:]
+				if khi > hi {
+					khi = hi
 				}
-				vs = vs[:len(cols)]
-				for k := range cols {
-					s0 += vs[k] * x[cols[k]]
-				}
-			}
-			if sum := s0 + s1; sum != 0 {
-				r := rowIdx[s]
-				if cut {
-					exec.AtomicAddFloat(&w[r], -sum)
+				var s0, s1 T
+				if khi-klo < 4 { // short row: direct indexing, see file comment
+					for k := klo; k < khi; k++ {
+						s0 += vals[k] * x[colIdx[k]]
+					}
 				} else {
-					w[r] -= sum
+					cols := colIdx[klo:khi]
+					vs := vals[klo:khi][:len(cols)]
+					for len(cols) >= 4 && len(vs) >= 4 {
+						c0, c1, c2, c3 := cols[0], cols[1], cols[2], cols[3]
+						s0 += vs[0]*x[c0] + vs[2]*x[c2]
+						s1 += vs[1]*x[c1] + vs[3]*x[c3]
+						cols = cols[4:]
+						vs = vs[4:]
+					}
+					vs = vs[:len(cols)]
+					for k := range cols {
+						s0 += vs[k] * x[cols[k]]
+					}
 				}
+				if sum := s0 + s1; head {
+					carry[seg] = sum
+				} else if sum != 0 {
+					w[rowIdx[s]] -= sum
+				}
+				s++
 			}
-			s++
 		}
 	})
+	foldCarries(rowPtr, rowIdx, grain, 1, carry, w)
 }
 
 // Multiply computes y = A·x in parallel (scalar-CSR schedule). It is the

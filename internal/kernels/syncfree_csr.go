@@ -29,28 +29,15 @@ type SyncFreeCSRSolver[T sparse.Float] struct {
 
 // NewSyncFreeCSRSolver validates L and splits the strictly-lower CSR part.
 func NewSyncFreeCSRSolver[T sparse.Float](p exec.Launcher, l *sparse.CSR[T]) (*SyncFreeCSRSolver[T], error) {
-	if err := sparse.CheckLowerSolvable(l); err != nil {
+	strictCSR, diag, err := splitLowerCSR(l)
+	if err != nil {
 		return nil, err
-	}
-	n := l.Rows
-	rowPtr := make([]int, n+1)
-	colIdx := make([]int, 0, l.NNZ()-n)
-	val := make([]T, 0, l.NNZ()-n)
-	diag := make([]T, n)
-	for i := 0; i < n; i++ {
-		hi := l.RowPtr[i+1] - 1
-		diag[i] = l.Val[hi]
-		for k := l.RowPtr[i]; k < hi; k++ {
-			colIdx = append(colIdx, l.ColIdx[k])
-			val = append(val, l.Val[k])
-		}
-		rowPtr[i+1] = len(val)
 	}
 	return &SyncFreeCSRSolver[T]{
 		pool:      p,
-		strictCSR: &sparse.CSR[T]{Rows: n, Cols: n, RowPtr: rowPtr, ColIdx: colIdx, Val: val},
+		strictCSR: strictCSR,
 		diag:      diag,
-		ready:     make([]exec.PaddedInt32, n),
+		ready:     make([]exec.PaddedInt32, l.Rows),
 	}, nil
 }
 
