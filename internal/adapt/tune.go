@@ -83,21 +83,21 @@ func TuneTri(p exec.Launcher, rows int, nnzRowAxis []int, levelsAxis []int, repe
 				strictCSR := strict.ToCSR()
 				d := bestTime(repeats, func() {
 					copy(w, b)
-					kernels.TriLevelSetSolve(p, strictCSR, diag, info, w, x, nil)
+					kernels.TriLevelSetSolve(p, strictCSR, diag, info, w, x, 1, nil)
 				})
 				cell.GFlops[kernels.TriLevelSet] = gflops(flops, d)
 
 				state := kernels.NewSyncFreeState(strict)
 				d = bestTime(repeats, func() {
 					copy(w, b)
-					kernels.TriSyncFreeSolve(p, state, strict, strictCSR, diag, w, x, nil)
+					kernels.TriSyncFreeSolve(p, state, strict, strictCSR, diag, w, x, 1, nil)
 				})
 				cell.GFlops[kernels.TriSyncFree] = gflops(flops, d)
 
 				sched := kernels.NewMergedSchedule(info, 0, p.Workers())
 				d = bestTime(repeats, func() {
 					copy(w, b)
-					kernels.TriCuSparseLikeSolve(p, sched, strictCSR, diag, w, x, nil)
+					kernels.TriCuSparseLikeSolve(p, sched, strictCSR, diag, w, x, 1, nil)
 				})
 				cell.GFlops[kernels.TriCuSparseLike] = gflops(flops, d)
 			}

@@ -167,3 +167,35 @@ func TestSolveBatchK1DelegatesToSolve(t *testing.T) {
 		}
 	}
 }
+
+// TestSolveBatchAllocsMatchSolve: the batch path shares the single-RHS
+// kernels' launch loops and only swaps the per-component row solve, so a
+// batched solve allocates no more than a single-vector one — no
+// right-hand-side scratch per launch chunk or per worker.
+func TestSolveBatchAllocsMatchSolve(t *testing.T) {
+	const n, levels, k = 2000, 40, 4
+	l := gen.Layered(n, levels, 3, 0, 221)
+	for _, kn := range []kernels.TriKernel{kernels.TriLevelSet, kernels.TriSyncFree, kernels.TriCuSparseLike} {
+		s, err := Preprocess(l, Options{
+			Workers: 2, Kind: Recursive, MinBlockRows: n,
+			ForceTri: kn,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(s.tris) != 1 || s.tris[0].kernel != kn {
+			t.Fatalf("%v: expected one %v triangle, got %d tris", kn, kn, len(s.tris))
+		}
+		if kn != kernels.TriSyncFree && s.tris[0].info.NLevels < levels {
+			t.Fatalf("%v: %d levels, want at least %d", kn, s.tris[0].info.NLevels, levels)
+		}
+		b, x := gen.RandVec(n, 222), make([]float64, n)
+		bb, xb := gen.RandVec(n*k, 223), make([]float64, n*k)
+		single := testing.AllocsPerRun(20, func() { s.Solve(b, x) })
+		batch := testing.AllocsPerRun(20, func() { s.SolveBatch(bb, xb, k) })
+		t.Logf("%v: Solve %.0f allocs, SolveBatch(k=%d) %.0f", kn, single, k, batch)
+		if batch > single {
+			t.Fatalf("%v: SolveBatch(k=%d) allocates %.0f objects per solve, Solve %.0f", kn, k, batch, single)
+		}
+	}
+}

@@ -5,26 +5,20 @@ import (
 	"fmt"
 )
 
-// The guarded batched solve path: SolveBatchContext runs the same block
-// schedule as SolveBatch with the cancellation machinery of SolveContext
-// threaded between plan steps. It exists for live-traffic consumers (the
-// solver daemon) that coalesce concurrent single-RHS requests into one
-// multi-RHS solve but still need per-request robustness: a cancelled or
-// deadlined batch stops at the next step boundary instead of running to
-// completion, and the stall watchdog aborts a schedule whose progress
-// counter stops moving.
-//
-// Granularity caveat: unlike the single-RHS kernels, the batch kernels
-// do not poll the guard inside a block, so cancellation and the
-// watchdog act *between* plan steps — a solve is abandoned at the next
-// block boundary, and a hang inside one batch kernel is beyond the
-// watchdog's reach. The fully-guarded single-RHS path (SolveContext)
-// remains the recovery rung for callers that need in-block guarantees;
-// the daemon degrades to it when a batch fails.
+// The guarded batched solve path: SolveBatchContext runs the same plan
+// walk as SolveBatch under the guard of SolveContext. It exists for
+// live-traffic consumers (the solver daemon) that coalesce concurrent
+// single-RHS requests into one multi-RHS solve but still need
+// per-request robustness: a cancelled or deadlined batch stops instead
+// of running to completion, and the stall watchdog aborts a schedule
+// whose progress counter stops moving. The guard reaches inside the
+// level-set, sync-free and cuSPARSE-like kernels at every k, so a batch
+// that hangs inside one block is aborted with the same stall diagnostics
+// as a single-RHS solve.
 
 // SolveBatchContext solves L·X = B for k right-hand sides like SolveBatch
 // (row-major n×k blocks, B and X may alias), with ctx cancellation and the
-// solver's Options.StallTimeout checked between plan steps. Length
+// solver's Options.StallTimeout armed as in SolveContext. Length
 // mismatches return an error instead of panicking. For k > 1, unlike
 // SolveContext, the residual-verification ladder (Options.VerifyResidual)
 // is not run — batched callers verify or degrade per right-hand side; k = 1

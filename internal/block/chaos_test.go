@@ -139,22 +139,34 @@ func TestChaosWatchdogAbortsCorruptedInDegree(t *testing.T) {
 
 	b := gen.RandVec(n, 905)
 	x := make([]float64, n)
-	start := time.Now()
-	err = s.SolveContext(context.Background(), b, x)
-	elapsed := time.Since(start)
+	const k = 3
+	bb := gen.RandVec(n*k, 915)
+	xb := make([]float64, n*k)
+	solves := []struct {
+		name  string
+		solve func() error
+	}{
+		{"SolveContext", func() error { return s.SolveContext(context.Background(), b, x) }},
+		{"SolveBatchContext(k=3)", func() error { return s.SolveBatchContext(context.Background(), bb, xb, k) }},
+	}
+	for _, c := range solves {
+		start := time.Now()
+		err := c.solve()
+		elapsed := time.Since(start)
 
-	var se *StallError
-	if !errors.As(err, &se) {
-		t.Fatalf("got %v, want *StallError", err)
-	}
-	if !se.HasRow || se.Row > 41 {
-		t.Fatalf("stall diagnostic row=%d hasRow=%v, want the chain head at or before 41", se.Row, se.HasRow)
-	}
-	if se.InDegree <= 0 {
-		t.Fatalf("stalled in-degree %d, want > 0", se.InDegree)
-	}
-	if elapsed > 5*time.Second {
-		t.Fatalf("watchdog took %v to abort a 100ms stall", elapsed)
+		var se *StallError
+		if !errors.As(err, &se) {
+			t.Fatalf("%s: got %v, want *StallError", c.name, err)
+		}
+		if !se.HasRow || se.Row > 41 {
+			t.Fatalf("%s: stall diagnostic row=%d hasRow=%v, want the chain head at or before 41", c.name, se.Row, se.HasRow)
+		}
+		if se.InDegree <= 0 {
+			t.Fatalf("%s: stalled in-degree %d, want > 0", c.name, se.InDegree)
+		}
+		if elapsed > 5*time.Second {
+			t.Fatalf("%s: watchdog took %v to abort a 100ms stall", c.name, elapsed)
+		}
 	}
 
 	// Un-corrupt and re-solve: the solver itself is undamaged.
@@ -167,6 +179,29 @@ func TestChaosWatchdogAbortsCorruptedInDegree(t *testing.T) {
 	for i := range x {
 		if math.Abs(x[i]-ref[i]) > 1e-9*(1+math.Abs(ref[i])) {
 			t.Fatalf("x[%d]=%g want %g", i, x[i], ref[i])
+		}
+	}
+	if err := s.SolveBatchContext(context.Background(), bb, xb, k); err != nil {
+		t.Fatalf("batched solve after repair: %v", err)
+	}
+	checkBatchAgainstSerial(t, l, bb, xb, k)
+}
+
+// checkBatchAgainstSerial compares every column of a row-major n×k
+// solution block with the serial reference solve of its right-hand side.
+func checkBatchAgainstSerial(t *testing.T, l *sparse.CSR[float64], bb, xb []float64, k int) {
+	t.Helper()
+	n := l.Rows
+	col, ref := make([]float64, n), make([]float64, n)
+	for r := 0; r < k; r++ {
+		for i := range col {
+			col[i] = bb[i*k+r]
+		}
+		kernels.SerialSolveCSR(l, col, ref)
+		for i := range ref {
+			if got := xb[i*k+r]; math.Abs(got-ref[i]) > 1e-9*(1+math.Abs(ref[i])) {
+				t.Fatalf("batch x[%d][%d]=%g want %g", i, r, got, ref[i])
+			}
 		}
 	}
 }
@@ -182,20 +217,48 @@ func TestChaosContextCancelsStalledSolve(t *testing.T) {
 	}
 	s.tris[0].state.BaseCounts()[10]++
 
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
 	b := gen.RandVec(n, 907)
 	x := make([]float64, n)
-	if err := s.SolveContext(ctx, b, x); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("got %v, want context.DeadlineExceeded", err)
+	const k = 3
+	bb := gen.RandVec(n*k, 917)
+	xb := make([]float64, n*k)
+	solves := []struct {
+		name  string
+		solve func(ctx context.Context) error
+	}{
+		{"SolveContext", func(ctx context.Context) error { return s.SolveContext(ctx, b, x) }},
+		{"SolveBatchContext(k=3)", func(ctx context.Context) error { return s.SolveBatchContext(ctx, bb, xb, k) }},
+	}
+	for _, c := range solves {
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		start := time.Now()
+		err := c.solve(ctx)
+		elapsed := time.Since(start)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s: got %v, want context.DeadlineExceeded", c.name, err)
+		}
+		if elapsed > 5*time.Second {
+			t.Fatalf("%s: took %v to honour a 50ms deadline", c.name, elapsed)
+		}
+
+		// Pre-cancelled context short-circuits without touching the kernels.
+		done, cancelNow := context.WithCancel(context.Background())
+		cancelNow()
+		if err := c.solve(done); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: got %v, want context.Canceled", c.name, err)
+		}
 	}
 
-	// Pre-cancelled context short-circuits without touching the kernels.
-	done, cancelNow := context.WithCancel(context.Background())
-	cancelNow()
-	if err := s.SolveContext(done, b, x); !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
+	// Un-corrupt and re-solve: the solver itself is undamaged.
+	s.tris[0].state.BaseCounts()[10]--
+	if err := s.SolveContext(context.Background(), b, x); err != nil {
+		t.Fatalf("solve after repair: %v", err)
 	}
+	if err := s.SolveBatchContext(context.Background(), bb, xb, k); err != nil {
+		t.Fatalf("batched solve after repair: %v", err)
+	}
+	checkBatchAgainstSerial(t, l, bb, xb, k)
 }
 
 // 4. Corrupted numerics → residual check fails, refinement cannot save it

@@ -459,8 +459,8 @@ func (s *Solver[T]) Solve(b, x []T) { s.ses.Solve(b, x) }
 // run is the one walk over the execution plan: it runs the steps over k
 // right-hand sides (row-major n×k blocks; k = 1 is a single vector) in
 // this session's scratch. A non-nil guard is checked between steps and
-// handed to the single-RHS kernels, which also poll it inside; a nil
-// guard never trips. Instrumentation, the trace recorder, the pprof step
+// handed to the level-set, sync-free and cuSPARSE-like kernels, which
+// also poll it inside; a nil guard never trips. Instrumentation, the trace recorder, the pprof step
 // labels and the solve metrics are fed here for every solve method. run
 // reports whether the plan completed; on false the guard holds the cause
 // and x is unspecified. The per-step clock reads make the whole function
@@ -583,9 +583,9 @@ func stateFor[T sparse.Float](states []*kernels.SyncFreeState, idx int, tb *triB
 }
 
 // solveTri runs triangular block tb's kernel over k right-hand sides and
-// reports whether it completed. The single-RHS level-set, sync-free and
-// cuSPARSE-like kernels poll the guard inside; every other kernel counts
-// as one progress step for the whole block.
+// reports whether it completed. The level-set, sync-free and cuSPARSE-like
+// kernels poll the guard inside at every k; every other kernel counts as
+// one progress step for the whole block.
 //
 //sptrsv:hotpath
 func (s *Solver[T]) solveTri(tb *triBlock[T], w, x []T, k int, state *kernels.SyncFreeState, g *exec.Guard) bool {
@@ -597,20 +597,11 @@ func (s *Solver[T]) solveTri(tb *triBlock[T], w, x []T, k int, state *kernels.Sy
 			kernels.TriDiagOnlySolveBatch(s.pool, tb.diag, w, x, k)
 		}
 	case kernels.TriLevelSet:
-		if k == 1 {
-			return kernels.TriLevelSetSolve(s.pool, tb.strictCSR, tb.diag, tb.info, w, x, g)
-		}
-		kernels.TriLevelSetSolveBatch(s.pool, tb.strictCSR, tb.diag, tb.info, w, x, k)
+		return kernels.TriLevelSetSolve(s.pool, tb.strictCSR, tb.diag, tb.info, w, x, k, g)
 	case kernels.TriSyncFree:
-		if k == 1 {
-			return kernels.TriSyncFreeSolve(s.pool, state, tb.strictCSC, tb.strictCSR, tb.diag, w, x, g)
-		}
-		kernels.TriSyncFreeSolveBatch(s.pool, state, tb.strictCSC, tb.strictCSR, tb.diag, w, x, k)
+		return kernels.TriSyncFreeSolve(s.pool, state, tb.strictCSC, tb.strictCSR, tb.diag, w, x, k, g)
 	case kernels.TriCuSparseLike:
-		if k == 1 {
-			return kernels.TriCuSparseLikeSolve(s.pool, tb.sched, tb.strictCSR, tb.diag, w, x, g)
-		}
-		kernels.TriCuSparseLikeSolveBatch(s.pool, tb.sched, tb.strictCSR, tb.diag, w, x, k)
+		return kernels.TriCuSparseLikeSolve(s.pool, tb.sched, tb.strictCSR, tb.diag, w, x, k, g)
 	case kernels.TriSerial:
 		if k == 1 {
 			kernels.TriSerialSolve(tb.strictCSC, tb.diag, w, x)

@@ -132,7 +132,7 @@ func (s *LevelSetSolver[T]) Info() *levelset.Info { return s.info }
 
 // Solve passes b as the kernel's w: the gather-form kernels only read it.
 func (s *LevelSetSolver[T]) Solve(b, x []T) {
-	TriLevelSetSolve(s.pool, s.strictCSR, s.diag, s.info, b, x, nil)
+	TriLevelSetSolve(s.pool, s.strictCSR, s.diag, s.info, b, x, 1, nil)
 }
 
 // SyncFreeSolver is the Sync-free baseline of Liu et al. (Algorithm 3).
@@ -164,7 +164,7 @@ func (s *SyncFreeSolver[T]) Name() string { return "sync-free" }
 func (s *SyncFreeSolver[T]) Rows() int    { return len(s.diag) }
 
 func (s *SyncFreeSolver[T]) Solve(b, x []T) {
-	TriSyncFreeSolve(s.pool, s.state, s.strict, s.strictCSR, s.diag, b, x, nil)
+	TriSyncFreeSolve(s.pool, s.state, s.strict, s.strictCSR, s.diag, b, x, 1, nil)
 }
 
 // CuSparseLikeSolver is the cuSPARSE-v2 stand-in: level-set analysis plus
@@ -201,7 +201,7 @@ func (s *CuSparseLikeSolver[T]) Rows() int    { return len(s.diag) }
 func (s *CuSparseLikeSolver[T]) Schedule() *MergedSchedule { return s.sched }
 
 func (s *CuSparseLikeSolver[T]) Solve(b, x []T) {
-	TriCuSparseLikeSolve(s.pool, s.sched, s.strictCSR, s.diag, b, x, nil)
+	TriCuSparseLikeSolve(s.pool, s.sched, s.strictCSR, s.diag, b, x, 1, nil)
 }
 
 // NewBaseline constructs a named whole-matrix baseline; the benchmark

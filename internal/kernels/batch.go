@@ -2,14 +2,12 @@ package kernels
 
 import (
 	"sort"
-	"sync/atomic"
 
 	"github.com/sss-lab/blocksptrsv/internal/exec"
-	"github.com/sss-lab/blocksptrsv/internal/levelset"
 	"github.com/sss-lab/blocksptrsv/internal/sparse"
 )
 
-// Batched (multiple right-hand side) kernel variants. SpTRSV with many
+// Multiple right-hand-side (batch) kernels and helpers. SpTRSV with many
 // right-hand sides is the dominant cost of the solve phase of sparse
 // direct solvers (§1 of the paper); the follow-up work by Liu et al.
 // ("Fast Synchronization-Free Algorithms for Parallel Sparse Triangular
@@ -17,6 +15,15 @@ import (
 // of a component together so the sparsity machinery (dependency tracking,
 // level schedule, row traversal) is paid once per component instead of
 // once per solve.
+//
+// Grouping right-hand sides changes only the per-component row, never the
+// schedule, so the level-set, sync-free and cuSPARSE-like kernels in
+// sptrsv.go serve every k and take only their batch row solve,
+// gatherRowBatch, from here. What else lives here has no schedule to
+// share or would lose bits or speed as the k = 1 case of a k-loop: the
+// serial and diagonal-only references, TriSerialSolveBatch and
+// TriDiagOnlySolveBatch (which round as ·(1/d), not /d), and the SpMV
+// block updates, whose single-vector kernels sum in dual accumulators.
 //
 // Layout: right-hand-side blocks are dense row-major n×k slices — the k
 // values of component i occupy W[i*k : (i+1)*k]. Per-component work is
@@ -83,112 +90,33 @@ func TriDiagOnlySolveBatch[T sparse.Float](p exec.Launcher, diag []T, w, x []T, 
 	})
 }
 
-// gatherRowBatch is gatherRow over an n×k block: row(i, sum) solves the
-// k right-hand sides of component i, using sum (length k) as the
-// accumulator. Each column's sum is taken in ascending column order, the
-// update order of TriSerialSolveBatch, so the gather-form batch kernels
-// agree with it bit for bit.
+// gatherRowBatch is gatherRow over an n×k block: the returned row solve
+// solves the k right-hand sides of component i in place in x's row i —
+// copy w's row, subtract each dependency's contribution in ascending
+// column order, scale by 1/diag[i]. That is the update order of
+// TriSerialSolveBatch, so the level-set, sync-free and cuSPARSE-like
+// kernels agree with it bit for bit at every k > 1. The row of x is only
+// read by dependents after it is finished, so it needs no scratch.
 //
 //sptrsv:hotpath
-func gatherRowBatch[T sparse.Float](strictCSR *sparse.CSR[T], diag, w, x []T, k int) func(i int, sum []T) {
+func gatherRowBatch[T sparse.Float](strictCSR *sparse.CSR[T], diag, w, x []T, k int) func(i int) {
 	rowPtr, colIdx, vals := strictCSR.RowPtr, strictCSR.ColIdx, strictCSR.Val
 	//lint:ignore hotpathalloc,escapecheck one row closure per solve, shared by every launch of the solve
-	return func(i int, sum []T) {
-		copy(sum, w[i*k:][:k])
+	return func(i int) {
+		xi := x[i*k:][:k]
+		copy(xi, w[i*k:][:k])
 		klo, khi := rowPtr[i], rowPtr[i+1]
 		cols := colIdx[klo:khi]
 		vs := vals[klo:khi][:len(cols)]
 		for kk := range cols {
 			v := vs[kk]
-			xc := x[cols[kk]*k:][:len(sum)]
+			xc := x[cols[kk]*k:][:len(xi)]
 			for r := range xc {
-				sum[r] -= v * xc[r]
+				xi[r] -= v * xc[r]
 			}
 		}
-		inv := 1 / diag[i]
-		scaleInto(x[i*k:][:k], sum, inv)
+		scaleInto(xi, xi, 1/diag[i])
 	}
-}
-
-// gatherLaunchesBatch is gatherLaunches over an n×k block; every launch
-// chunk owns one k-length accumulator.
-//
-//sptrsv:hotpath
-func gatherLaunchesBatch[T sparse.Float](p exec.Launcher, chunkPtr []int, serial []bool, items []int, row func(int, []T), k int) {
-	for c := 0; c+1 < len(chunkPtr); c++ {
-		its := items[chunkPtr[c]:chunkPtr[c+1]]
-		if c < len(serial) && serial[c] {
-			p.ParallelFor(1, 1, func(_, _ int) {
-				//lint:ignore hotpathalloc,escapecheck per-launch RHS accumulator scratch
-				sum := make([]T, k)
-				for t := range its {
-					row(its[t], sum)
-				}
-			})
-			continue
-		}
-		p.ParallelFor(len(its), 0, func(a, b int) {
-			//lint:ignore hotpathalloc,escapecheck per-launch RHS accumulator scratch
-			sum := make([]T, k)
-			chunk := its[a:b]
-			for t := range chunk {
-				row(chunk[t], sum)
-			}
-		})
-	}
-}
-
-// TriLevelSetSolveBatch runs the level-set kernel over an n×k block: one
-// launch per level.
-//
-//sptrsv:hotpath
-func TriLevelSetSolveBatch[T sparse.Float](p exec.Launcher, strictCSR *sparse.CSR[T], diag []T, info *levelset.Info, w, x []T, k int) {
-	//lint:ignore escapecheck the inlined gatherRowBatch closure, one per solve
-	gatherLaunchesBatch(p, info.LevelPtr[:info.NLevels+1], nil, info.LevelItem, gatherRowBatch(strictCSR, diag, w, x, k), k)
-}
-
-// TriSyncFreeSolveBatch runs the sync-free kernel over an n×k block. A
-// component's k solutions are all written before it decrements the
-// in-degrees of its dependents, preserving the release/acquire pairing of
-// the single-vector kernel.
-//
-//sptrsv:hotpath
-func TriSyncFreeSolveBatch[T sparse.Float](p exec.Launcher, state *SyncFreeState, strict *sparse.CSC[T], strictCSR *sparse.CSR[T], diag []T, w, x []T, k int) {
-	n := len(diag)
-	if n == 0 {
-		return
-	}
-	state.reset()
-	//lint:ignore escapecheck the inlined gatherRowBatch closure, one per solve
-	row := gatherRowBatch(strictCSR, diag, w, x, k)
-	colPtr, rowIdx := strict.ColPtr, strict.RowIdx
-	indeg := state.indeg
-	var next atomic.Int64
-	p.Run(func(worker int) {
-		//lint:ignore hotpathalloc,escapecheck per-worker RHS accumulator scratch
-		sum := make([]T, k)
-		for {
-			j := int(next.Add(1)) - 1
-			if j >= n {
-				return
-			}
-			exec.SpinUntilZero(&indeg[j].V)
-			row(j, sum)
-			rows := rowIdx[colPtr[j]:colPtr[j+1]]
-			for kk := range rows {
-				indeg[rows[kk]].V.Add(-1)
-			}
-		}
-	})
-}
-
-// TriCuSparseLikeSolveBatch runs the merged level-set kernel over an n×k
-// block.
-//
-//sptrsv:hotpath
-func TriCuSparseLikeSolveBatch[T sparse.Float](p exec.Launcher, sched *MergedSchedule, strictCSR *sparse.CSR[T], diag []T, w, x []T, k int) {
-	//lint:ignore escapecheck the inlined gatherRowBatch closure, one per solve
-	gatherLaunchesBatch(p, sched.chunkPtr, sched.serial, sched.items, gatherRowBatch(strictCSR, diag, w, x, k), k)
 }
 
 // SpMVScalarCSRSubBatch computes W -= A·X over n×k blocks, one worker

@@ -48,17 +48,17 @@ func TestTriBatchKernelsMatchSerialBatch(t *testing.T) {
 
 			x := make([]float64, n*k)
 			w = append(w[:0], b...)
-			TriLevelSetSolveBatch(p, strict.ToCSR(), diag, info, w, x, k)
+			TriLevelSetSolve(p, strict.ToCSR(), diag, info, w, x, k, nil)
 			check("level-set", x)
 
 			x = make([]float64, n*k)
 			w = append(w[:0], b...)
-			TriSyncFreeSolveBatch(p, NewSyncFreeState(strict), strict, strict.ToCSR(), diag, w, x, k)
+			TriSyncFreeSolve(p, NewSyncFreeState(strict), strict, strict.ToCSR(), diag, w, x, k, nil)
 			check("sync-free", x)
 
 			x = make([]float64, n*k)
 			w = append(w[:0], b...)
-			TriCuSparseLikeSolveBatch(p, NewMergedSchedule(info, 0, workers), strict.ToCSR(), diag, w, x, k)
+			TriCuSparseLikeSolve(p, NewMergedSchedule(info, 0, workers), strict.ToCSR(), diag, w, x, k, nil)
 			check("cusparse-like", x)
 		}
 	}
@@ -121,7 +121,7 @@ func TestSpMVBatchKernelsMatchSerialBatch(t *testing.T) {
 func TestTriSyncFreeBatchEmptyAndChain(t *testing.T) {
 	p := exec.NewPool(2)
 	strict := &sparse.CSC[float64]{Rows: 0, Cols: 0, ColPtr: []int{0}}
-	TriSyncFreeSolveBatch(p, NewSyncFreeState(strict), strict, strict.ToCSR(), nil, nil, nil, 3)
+	TriSyncFreeSolve(p, NewSyncFreeState(strict), strict, strict.ToCSR(), nil, nil, nil, 3, nil)
 
 	// Fully serial chain under a tiny pool: deadlock-freedom for batches.
 	l := chainLower(300)
@@ -136,7 +136,7 @@ func TestTriSyncFreeBatchEmptyAndChain(t *testing.T) {
 	}
 	x := make([]float64, 300*k)
 	w := append([]float64(nil), b...)
-	TriSyncFreeSolveBatch(p, NewSyncFreeState(strictC), strictC, strictC.ToCSR(), diag, w, x, k)
+	TriSyncFreeSolve(p, NewSyncFreeState(strictC), strictC, strictC.ToCSR(), diag, w, x, k, nil)
 	want := make([]float64, 300*k)
 	w = append(w[:0], b...)
 	TriSerialSolveBatch(strictC, diag, w, want, k)

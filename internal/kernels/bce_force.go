@@ -21,6 +21,7 @@ var bceForceInstantiations = [...]any{
 	TriSyncFreeSolve[float64], TriSyncFreeSolve[float32],
 	TriCuSparseLikeSolve[float64], TriCuSparseLikeSolve[float32],
 	gatherRow[float64], gatherRow[float32],
+	rowSolve[float64], rowSolve[float32],
 	(*SyncFreeCSRSolver[float64]).Solve, (*SyncFreeCSRSolver[float32]).Solve,
 	NewSyncFreeState[float64], NewSyncFreeState[float32],
 
@@ -35,11 +36,7 @@ var bceForceInstantiations = [...]any{
 
 	TriSerialSolveBatch[float64], TriSerialSolveBatch[float32],
 	TriDiagOnlySolveBatch[float64], TriDiagOnlySolveBatch[float32],
-	TriLevelSetSolveBatch[float64], TriLevelSetSolveBatch[float32],
-	TriSyncFreeSolveBatch[float64], TriSyncFreeSolveBatch[float32],
-	TriCuSparseLikeSolveBatch[float64], TriCuSparseLikeSolveBatch[float32],
 	gatherRowBatch[float64], gatherRowBatch[float32],
-	gatherLaunchesBatch[float64], gatherLaunchesBatch[float32],
 	SpMVScalarCSRSubBatch[float64], SpMVScalarCSRSubBatch[float32],
 	SpMVVectorCSRSubBatch[float64], SpMVVectorCSRSubBatch[float32],
 	SpMVScalarDCSRSubBatch[float64], SpMVScalarDCSRSubBatch[float32],

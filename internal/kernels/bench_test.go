@@ -31,23 +31,31 @@ func BenchmarkTriKernels(b *testing.B) {
 		strictCSR := strict.ToCSR()
 		sched := NewMergedSchedule(info, 0, pool.Workers())
 		state := NewSyncFreeState(strict)
-		rhs := gen.RandVec(l.Rows, 7)
-		w := make([]float64, l.Rows)
-		x := make([]float64, l.Rows)
+		// k = 8 runs the same three schedules with the batch row solve.
+		for _, k := range []int{1, 8} {
+			rhs := gen.RandVec(l.Rows*k, 7)
+			w := make([]float64, l.Rows*k)
+			x := make([]float64, l.Rows*k)
 
-		run := func(name string, fn func()) {
-			b.Run(fmt.Sprintf("%s/levels=%d", name, levels), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					copy(w, rhs)
-					fn()
+			run := func(name string, fn func()) {
+				if k > 1 {
+					name = fmt.Sprintf("%s/k=%d", name, k)
 				}
-				b.ReportMetric(2*float64(l.NNZ())*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlops")
-			})
+				b.Run(fmt.Sprintf("%s/levels=%d", name, levels), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						copy(w, rhs)
+						fn()
+					}
+					b.ReportMetric(2*float64(l.NNZ()*k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlops")
+				})
+			}
+			if k == 1 {
+				run("serial", func() { TriSerialSolve(strict, diag, w, x) })
+			}
+			run("level-set", func() { TriLevelSetSolve(pool, strictCSR, diag, info, w, x, k, nil) })
+			run("sync-free", func() { TriSyncFreeSolve(pool, state, strict, strictCSR, diag, w, x, k, nil) })
+			run("cusparse-like", func() { TriCuSparseLikeSolve(pool, sched, strictCSR, diag, w, x, k, nil) })
 		}
-		run("serial", func() { TriSerialSolve(strict, diag, w, x) })
-		run("level-set", func() { TriLevelSetSolve(pool, strictCSR, diag, info, w, x, nil) })
-		run("sync-free", func() { TriSyncFreeSolve(pool, state, strict, strictCSR, diag, w, x, nil) })
-		run("cusparse-like", func() { TriCuSparseLikeSolve(pool, sched, strictCSR, diag, w, x, nil) })
 	}
 }
 
@@ -73,13 +81,13 @@ func BenchmarkLevelSetLauncherStyles(b *testing.B) {
 		b.Run(fmt.Sprintf("level-set/%s", style), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				copy(w, rhs)
-				TriLevelSetSolve(pool, strictCSR, diag, info, w, x, nil)
+				TriLevelSetSolve(pool, strictCSR, diag, info, w, x, 1, nil)
 			}
 		})
 		b.Run(fmt.Sprintf("cusparse-like/%s", style), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				copy(w, rhs)
-				TriCuSparseLikeSolve(pool, sched, strictCSR, diag, w, x, nil)
+				TriCuSparseLikeSolve(pool, sched, strictCSR, diag, w, x, 1, nil)
 			}
 		})
 		exec.CloseLauncher(pool)

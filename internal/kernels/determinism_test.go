@@ -74,11 +74,11 @@ func TestGatherTriKernelsAgreeBitwise(t *testing.T) {
 			sched := NewMergedSchedule(info, 0, p.Workers())
 			for rep := 0; rep < 3; rep++ {
 				tag := fmt.Sprintf("trial %d %T/%d rep %d", trial, p, p.Workers(), rep)
-				TriLevelSetSolve(p, strictCSR, diag, info, w, x, nil)
+				TriLevelSetSolve(p, strictCSR, diag, info, w, x, 1, nil)
 				sameBits(t, "level-set "+tag, x, want)
-				TriSyncFreeSolve(p, state, strict, strictCSR, diag, w, x, nil)
+				TriSyncFreeSolve(p, state, strict, strictCSR, diag, w, x, 1, nil)
 				sameBits(t, "sync-free "+tag, x, want)
-				TriCuSparseLikeSolve(p, sched, strictCSR, diag, w, x, nil)
+				TriCuSparseLikeSolve(p, sched, strictCSR, diag, w, x, 1, nil)
 				sameBits(t, "cusparse-like "+tag, x, want)
 			}
 		}
@@ -88,7 +88,8 @@ func TestGatherTriKernelsAgreeBitwise(t *testing.T) {
 
 // TestGatherTriBatchKernelsMatchSerialBatchBitwise: the batch gather takes
 // each column's sum in ascending column order, the update order of
-// TriSerialSolveBatch, so the three batch kernels reproduce it exactly.
+// TriSerialSolveBatch, so the three gather kernels reproduce it exactly at
+// every k > 1.
 func TestGatherTriBatchKernelsMatchSerialBatchBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(611))
 	ls := launchers(1, 3, 8)
@@ -113,11 +114,11 @@ func TestGatherTriBatchKernelsMatchSerialBatchBitwise(t *testing.T) {
 			sched := NewMergedSchedule(info, 0, p.Workers())
 			for rep := 0; rep < 2; rep++ {
 				tag := fmt.Sprintf("trial %d k=%d %T/%d rep %d", trial, k, p, p.Workers(), rep)
-				TriLevelSetSolveBatch(p, strictCSR, diag, info, b, x, k)
+				TriLevelSetSolve(p, strictCSR, diag, info, b, x, k, nil)
 				sameBits(t, "level-set batch "+tag, x, want)
-				TriSyncFreeSolveBatch(p, state, strict, strictCSR, diag, b, x, k)
+				TriSyncFreeSolve(p, state, strict, strictCSR, diag, b, x, k, nil)
 				sameBits(t, "sync-free batch "+tag, x, want)
-				TriCuSparseLikeSolveBatch(p, sched, strictCSR, diag, b, x, k)
+				TriCuSparseLikeSolve(p, sched, strictCSR, diag, b, x, k, nil)
 				sameBits(t, "cusparse-like batch "+tag, x, want)
 			}
 		}

@@ -88,18 +88,18 @@ func checkKernelEquivalence[T sparse.Float](t *testing.T, seed int64, n, workers
 	strictCSR := strictCSC.ToCSR()
 	x := make([]T, n)
 	w = append(w[:0], b...)
-	TriLevelSetSolve(p, strictCSR, diag, info, w, x, nil)
+	TriLevelSetSolve(p, strictCSR, diag, info, w, x, 1, nil)
 	check("level-set", x)
 
 	x = make([]T, n)
 	w = append(w[:0], b...)
-	TriSyncFreeSolve(p, NewSyncFreeState(strictCSC), strictCSC, strictCSR, diag, w, x, nil)
+	TriSyncFreeSolve(p, NewSyncFreeState(strictCSC), strictCSC, strictCSR, diag, w, x, 1, nil)
 	check("sync-free", x)
 
 	sched := NewMergedSchedule(info, 0, workers)
 	x = make([]T, n)
 	w = append(w[:0], b...)
-	TriCuSparseLikeSolve(p, sched, strictCSR, diag, w, x, nil)
+	TriCuSparseLikeSolve(p, sched, strictCSR, diag, w, x, 1, nil)
 	check("cusparse-like", x)
 
 	x = make([]T, n)

@@ -275,18 +275,18 @@ func TestTriKernelsMatchTriSerial(t *testing.T) {
 			strictCSR := strictCSC.ToCSR()
 			x := make([]float64, n)
 			w = append(w[:0], b...)
-			TriLevelSetSolve(p, strictCSR, diag, info, w, x, nil)
+			TriLevelSetSolve(p, strictCSR, diag, info, w, x, 1, nil)
 			check("level-set", x)
 
 			x = make([]float64, n)
 			w = append(w[:0], b...)
-			TriSyncFreeSolve(p, NewSyncFreeState(strictCSC), strictCSC, strictCSR, diag, w, x, nil)
+			TriSyncFreeSolve(p, NewSyncFreeState(strictCSC), strictCSC, strictCSR, diag, w, x, 1, nil)
 			check("sync-free", x)
 
 			sched := NewMergedSchedule(info, 0, workers)
 			x = make([]float64, n)
 			w = append(w[:0], b...)
-			TriCuSparseLikeSolve(p, sched, strictCSR, diag, w, x, nil)
+			TriCuSparseLikeSolve(p, sched, strictCSR, diag, w, x, 1, nil)
 			check("cusparse-like", x)
 		}
 	}
@@ -313,7 +313,7 @@ func TestTriDiagOnlySolve(t *testing.T) {
 func TestTriSyncFreeEmptyBlock(t *testing.T) {
 	p := exec.NewPool(2)
 	strict := &sparse.CSC[float64]{Rows: 0, Cols: 0, ColPtr: []int{0}}
-	TriSyncFreeSolve(p, NewSyncFreeState(strict), strict, strict.ToCSR(), nil, nil, nil, nil)
+	TriSyncFreeSolve(p, NewSyncFreeState(strict), strict, strict.ToCSR(), nil, nil, nil, 1, nil)
 }
 
 func TestBaselineUnknownAndInvalid(t *testing.T) {

@@ -163,9 +163,11 @@ func TriDiagOnlySolve[T sparse.Float](p exec.Launcher, diag []T, w, x []T) {
 	})
 }
 
-// The level-set, sync-free and cuSPARSE-like kernels take an exec.Guard
-// and report whether they ran to completion. A non-nil guard is checked at
-// every level or chunk barrier and inside every sync-free busy-wait, so a
+// The level-set, sync-free and cuSPARSE-like kernels solve k right-hand
+// sides at once (k = 1 is a single vector; for k > 1, w and x are the
+// row-major n×k blocks of batch.go). They take an exec.Guard and report
+// whether they ran to completion. A non-nil guard is checked at every
+// level or chunk barrier and inside every sync-free busy-wait, so a
 // cancelled, stalled or panicking solve unwinds instead of hanging; each
 // finished level, chunk or component is one progress step. A nil guard
 // never trips, and then the guard costs one nil check per level, chunk or
@@ -174,12 +176,15 @@ func TriDiagOnlySolve[T sparse.Float](p exec.Launcher, diag []T, w, x []T) {
 //
 // All three solve a component in gather form on the strictly-lower CSR
 // block (gatherRow): one worker reads the finished x entries the row
-// depends on and writes x[i] once. No float is ever accumulated with an
+// depends on and writes x[i] once (gatherRowBatch accumulates in x's row
+// i, which no other worker reads before it is finished). No float is ever accumulated with an
 // atomic add, so every x[i] is a fixed function of the block and w — the
 // result does not depend on the schedule, the launcher or the worker
 // count, and the three kernels agree bit for bit (DESIGN.md §6.5). The
 // kernels differ only in how they order components: a barrier per level,
 // per merged chunk, or a per-component in-degree wait. w is only read.
+// The number of right-hand sides changes only the row solve (rowSolve),
+// never the schedule.
 
 // gatherRow returns the gather solve of one component, shared by every
 // launch of a level-set, sync-free or cuSPARSE-like solve. The sum runs
@@ -223,6 +228,19 @@ func gatherRow[T sparse.Float](strictCSR *sparse.CSR[T], diag, w, x []T) func(i 
 	}
 }
 
+// rowSolve picks the row solve for k right-hand sides, once per solve:
+// gatherRow for a single vector, gatherRowBatch for an n×k block.
+//
+//sptrsv:hotpath
+func rowSolve[T sparse.Float](strictCSR *sparse.CSR[T], diag, w, x []T, k int) func(i int) {
+	if k == 1 {
+		//lint:ignore escapecheck the inlined gatherRow closure, one per solve
+		return gatherRow(strictCSR, diag, w, x)
+	}
+	//lint:ignore escapecheck the inlined gatherRowBatch closure, one per solve
+	return gatherRowBatch(strictCSR, diag, w, x, k)
+}
+
 // gatherLaunches runs row over a launch schedule: launch c covers
 // items[chunkPtr[c]:chunkPtr[c+1]]. A serial launch runs its rows in order
 // on one worker (executing fused levels in level order is dependency-safe
@@ -261,9 +279,8 @@ func gatherLaunches(p exec.Launcher, chunkPtr []int, serial []bool, items []int,
 // levels, so they solve independently once the previous barrier passed.
 //
 //sptrsv:hotpath
-func TriLevelSetSolve[T sparse.Float](p exec.Launcher, strictCSR *sparse.CSR[T], diag []T, info *levelset.Info, w, x []T, g *exec.Guard) bool {
-	//lint:ignore escapecheck the inlined gatherRow closure, one per solve
-	return gatherLaunches(p, info.LevelPtr[:info.NLevels+1], nil, info.LevelItem, gatherRow(strictCSR, diag, w, x), g)
+func TriLevelSetSolve[T sparse.Float](p exec.Launcher, strictCSR *sparse.CSR[T], diag []T, info *levelset.Info, w, x []T, k int, g *exec.Guard) bool {
+	return gatherLaunches(p, info.LevelPtr[:info.NLevels+1], nil, info.LevelItem, rowSolve(strictCSR, diag, w, x, k), g)
 }
 
 // SyncFreeState holds the reusable scratch of the sync-free kernel: the
@@ -310,8 +327,9 @@ func (s *SyncFreeState) reset() {
 // from an atomic counter, busy-wait until the component's in-degree drops
 // to zero, solve it by gathering its row of the CSR block, and then
 // decrement the in-degrees of the components in its column of the CSC
-// block. A dependency's x store precedes its decrement, and the wait
-// observes every decrement, so the gather reads finished values only.
+// block. A dependency's x store (all k values of its row) precedes its
+// decrement, and the wait observes every decrement, so the gather reads
+// finished values only.
 //
 // Claiming components in ascending order makes the busy-wait deadlock-free
 // on any pool size: the smallest unfinished component's dependencies are
@@ -326,14 +344,13 @@ func (s *SyncFreeState) reset() {
 // never publish.
 //
 //sptrsv:hotpath
-func TriSyncFreeSolve[T sparse.Float](p exec.Launcher, state *SyncFreeState, strict *sparse.CSC[T], strictCSR *sparse.CSR[T], diag []T, w, x []T, g *exec.Guard) bool {
+func TriSyncFreeSolve[T sparse.Float](p exec.Launcher, state *SyncFreeState, strict *sparse.CSC[T], strictCSR *sparse.CSR[T], diag []T, w, x []T, k int, g *exec.Guard) bool {
 	n := len(diag)
 	if n == 0 {
 		return true
 	}
 	state.reset()
-	//lint:ignore escapecheck the inlined gatherRow closure, one per solve
-	row := gatherRow(strictCSR, diag, w, x)
+	row := rowSolve(strictCSR, diag, w, x, k)
 	colPtr, rowIdx := strict.ColPtr, strict.RowIdx
 	indeg := state.indeg
 	var next atomic.Int64
@@ -455,7 +472,6 @@ func (s *MergedSchedule) SerialChunks() int {
 // the level-set kernel with Naumov's narrow-level merging.
 //
 //sptrsv:hotpath
-func TriCuSparseLikeSolve[T sparse.Float](p exec.Launcher, sched *MergedSchedule, strictCSR *sparse.CSR[T], diag []T, w, x []T, g *exec.Guard) bool {
-	//lint:ignore escapecheck the inlined gatherRow closure, one per solve
-	return gatherLaunches(p, sched.chunkPtr, sched.serial, sched.items, gatherRow(strictCSR, diag, w, x), g)
+func TriCuSparseLikeSolve[T sparse.Float](p exec.Launcher, sched *MergedSchedule, strictCSR *sparse.CSR[T], diag []T, w, x []T, k int, g *exec.Guard) bool {
+	return gatherLaunches(p, sched.chunkPtr, sched.serial, sched.items, rowSolve(strictCSR, diag, w, x, k), g)
 }
