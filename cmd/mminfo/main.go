@@ -1,7 +1,9 @@
 // mminfo prints the structural features of Matrix Market files that drive
 // SpTRSV algorithm choice: size, fill, level-set count and per-level
 // parallelism of the lower triangle (the feature columns of the paper's
-// Table 4), plus the kernel Algorithm 7 would select for the whole matrix.
+// Table 4), plus the kernel Algorithm 7 would select for the whole matrix
+// and the one the default plan's cost model selects (what Analyze runs on
+// a single-block plan at the default worker count and this GOMAXPROCS).
 //
 // Usage:
 //
@@ -14,8 +16,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 
 	"github.com/sss-lab/blocksptrsv/internal/adapt"
+	"github.com/sss-lab/blocksptrsv/internal/exec"
 	"github.com/sss-lab/blocksptrsv/internal/levelset"
 	"github.com/sss-lab/blocksptrsv/internal/sparse"
 )
@@ -120,7 +124,13 @@ func report(path string) error {
 		return err
 	}
 	feats := adapt.TriFeaturesOf(strict, info)
-	kernel := adapt.DefaultThresholds().SelectTri(feats)
-	fmt.Printf("  whole-matrix kernel per Algorithm 7: %v\n", kernel)
+	th := adapt.DefaultThresholds()
+	fmt.Printf("  whole-matrix kernel per Algorithm 7: %v\n", th.SelectTri(feats))
+	// What Analyze with DefaultOptions(0) would run on the whole matrix as
+	// one block: the cost model at the default worker count and this
+	// process's GOMAXPROCS.
+	mach := adapt.Machine{Workers: exec.DefaultDevices()[1].Workers, Procs: runtime.GOMAXPROCS(0)}
+	fmt.Printf("  whole-matrix kernel per cost model (default plan, workers=%d procs=%d): %v\n",
+		mach.Workers, mach.Procs, th.PickTri(feats, info, mach))
 	return nil
 }

@@ -1,7 +1,9 @@
-// Package adapt implements the paper's adaptive kernel selection (§3.4):
-// per-sub-matrix feature extraction, the Algorithm-7 decision tree with the
-// published thresholds, and the empirical tuner that regenerates the
-// Figure-5 "best kernel" heatmaps from measured performance data.
+// Package adapt implements adaptive kernel selection (§3.4): per-sub-matrix
+// feature extraction, the launch-and-sync cost model that picks the
+// default plan's triangular kernels (model.go), the Algorithm-7 decision
+// tree with the published thresholds, and the empirical tuner that
+// regenerates the Figure-5 "best kernel" heatmaps from measured
+// performance data.
 package adapt
 
 import (
@@ -91,7 +93,9 @@ func DefaultThresholds() Thresholds {
 	}
 }
 
-// SelectTri is the SpTRSV half of Algorithm 7's decision tree.
+// SelectTri is the SpTRSV half of Algorithm 7's decision tree. The default
+// plan prices triangles with PickTri instead; SelectTri stays as the
+// paper's selector, reported by mminfo and the Figure-5 tooling.
 func (t Thresholds) SelectTri(f TriFeatures) kernels.TriKernel {
 	switch {
 	case f.NLevels <= 1:

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/sss-lab/blocksptrsv/internal/block"
+	"github.com/sss-lab/blocksptrsv/internal/exec"
 	"github.com/sss-lab/blocksptrsv/internal/gen"
 	"github.com/sss-lab/blocksptrsv/internal/kernels"
 	"github.com/sss-lab/blocksptrsv/internal/sparse"
@@ -49,19 +50,24 @@ func Ablation(w io.Writer, p Params) error {
 	}
 	t.write(w)
 
-	// 2. Kernel selection: adaptive+calibrated vs each pinned kernel.
+	// 2. Kernel selection: the default cost model and calibration vs each
+	// pinned kernel, then the model against the calibrator block by block.
 	fmt.Fprintf(w, "\n(b) per-block kernel selection vs pinned kernels\n\n")
 	l := gen.Representative6(p.Scale)[2].Build() // kkt_power-like
 	t = newTable("tri kernel policy", "solve ms")
-	{
+	for _, cal := range []bool{false, true} {
 		o := block.Defaults(dev)
 		o.Pool = pool
-		o.Calibrate = true
+		o.Calibrate = cal
 		s, err := block.Preprocess(l, o)
 		if err != nil {
 			return err
 		}
-		t.add("calibrated (this work)", ms(timeSolve(s, l)))
+		name := "analytic (default)"
+		if cal {
+			name = "calibrated"
+		}
+		t.add(name, ms(timeSolve(s, l)))
 	}
 	for _, tk := range []kernels.TriKernel{kernels.TriLevelSet, kernels.TriSyncFree, kernels.TriCuSparseLike, kernels.TriSerial} {
 		o := block.Defaults(dev)
@@ -76,6 +82,10 @@ func Ablation(w io.Writer, p Params) error {
 		t.add("pinned "+tk.String(), ms(timeSolve(s, l)))
 	}
 	t.write(w)
+	fmt.Fprintf(w, "\nanalytic (default) vs calibrated selection, per triangular block\n\n")
+	if _, err := selectionAgreement(w, dev, pool, gen.Representative6(p.Scale), p.Warmup, p.Repeats); err != nil {
+		return err
+	}
 
 	// 3. DCSR vs CSR squares on a reordered power-law system (many empty
 	// rows inside off-diagonal blocks).
@@ -176,4 +186,68 @@ func Ablation(w io.Writer, p Params) error {
 	}
 	t.write(w)
 	return nil
+}
+
+// agreement counts how often the default plan's cost-model kernel choice
+// matches the calibrator's over a set of triangular blocks.
+type agreement struct {
+	Blocks int // triangular blocks with dependencies (NLevels > 1)
+	Same   int // ... where both plans picked the same kernel
+	Near   int // ... where they differ but the default's block measures within 1.25× of the calibrated one
+}
+
+// selectionAgreement preprocesses each entry twice on dev's defaults, as
+// shipped and with Calibrate, and compares the two plans block by block on
+// their common partition. A differing block counts as near when its
+// default kernel measures within 1.25× of the calibrated kernel
+// (Solver.TriBlockTime, best of max(repeats, 5)). It writes one row per
+// entry plus a total, with both plans' preprocessing and mean solve times
+// (warmup, repeats), and returns the total.
+func selectionAgreement(w io.Writer, dev exec.Device, pool exec.Launcher, entries []gen.Entry, warmup, repeats int) (agreement, error) {
+	reps := max(repeats, 5)
+	timeSolve := func(s *block.Solver[float64], l *sparse.CSR[float64]) string {
+		x := make([]float64, l.Rows)
+		mean, _ := timeSolver[float64](s, gen.RandVec(l.Rows, 7), x, warmup, repeats)
+		return ms(mean)
+	}
+	t := newTable("matrix", "tri blocks", "same kernel", "within 1.25x", "default prep ms", "calibrated prep ms", "default ms", "calibrated ms")
+	var total agreement
+	for _, e := range entries {
+		l := e.Build()
+		var plans [2]*block.Solver[float64]
+		var prep [2]time.Duration
+		for i := range plans {
+			o := block.Defaults(dev)
+			o.Pool = pool
+			o.Calibrate = i == 1
+			t0 := time.Now()
+			s, err := block.Preprocess(l, o)
+			if err != nil {
+				return total, err
+			}
+			plans[i], prep[i] = s, time.Since(t0)
+		}
+		var a agreement
+		def, cal := plans[0].TriKernels(), plans[1].TriKernels()
+		for i := range def {
+			if def[i] == kernels.TriCompletelyParallel {
+				continue // no dependencies: both pick it without a choice
+			}
+			a.Blocks++
+			switch {
+			case def[i] == cal[i]:
+				a.Same++
+			case plans[0].TriBlockTime(i, reps) <= plans[1].TriBlockTime(i, reps)*5/4:
+				a.Near++
+			}
+		}
+		total.Blocks += a.Blocks
+		total.Same += a.Same
+		total.Near += a.Near
+		t.add(e.Name, fmt.Sprint(a.Blocks), fmt.Sprint(a.Same), fmt.Sprint(a.Same+a.Near),
+			ms(prep[0]), ms(prep[1]), timeSolve(plans[0], l), timeSolve(plans[1], l))
+	}
+	t.add("total", fmt.Sprint(total.Blocks), fmt.Sprint(total.Same), fmt.Sprint(total.Same+total.Near), "", "", "", "")
+	t.write(w)
+	return total, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -154,5 +155,28 @@ func TestScalingRuns(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "grid5") || !strings.Contains(out, "powerlaw") {
 		t.Fatalf("scaling families missing:\n%s", out)
+	}
+}
+
+// TestSelectionAgreementSuite reports, over the suite corpus with the
+// default device and workers, how often the default plan's cost-model
+// kernel choice agrees with the calibrator's (run with -v to see the
+// table). The agreement itself is a measurement, so only its bookkeeping
+// is asserted.
+func TestSelectionAgreementSuite(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing experiment")
+	}
+	dev := exec.DefaultDevices()[1]
+	pool := exec.NewSpinPool(dev.Workers)
+	defer pool.Close()
+	var buf bytes.Buffer
+	a, err := selectionAgreement(&buf, dev, pool, suiteEntries(CorpusScale, false), 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("GOMAXPROCS=%d workers=%d\n%s", runtime.GOMAXPROCS(0), pool.Workers(), buf.String())
+	if a.Blocks == 0 || a.Same+a.Near > a.Blocks {
+		t.Fatalf("bookkeeping: %+v", a)
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"math/rand"
 
+	"github.com/sss-lab/blocksptrsv/internal/adapt"
 	"github.com/sss-lab/blocksptrsv/internal/exec"
 	"github.com/sss-lab/blocksptrsv/internal/kernels"
 	"github.com/sss-lab/blocksptrsv/internal/sparse"
@@ -47,23 +48,11 @@ func (s *Solver[T]) CalibrateKernels(repeats int) {
 			continue // completely-parallel is already optimal
 		}
 		grow(n)
-		// Levels too narrow to fan out run inline and pay no barrier, so
-		// only wider levels enter a kernel's launch bill. This keeps the
-		// bills lower bounds: pruning on them is conservative.
-		wideLevels := func(width int) int {
-			c := 0
-			for l := 0; l < tb.info.NLevels; l++ {
-				if tb.info.LevelSize(l) >= width {
-					c++
-				}
-			}
-			return c
-		}
-		bill := map[kernels.TriKernel]time.Duration{
-			kernels.TriSerial:       0,
-			kernels.TriSyncFree:     launchCost, // one persistent launch
-			kernels.TriCuSparseLike: time.Duration(wideLevels(2*s.pool.Workers())) * launchCost,
-			kernels.TriLevelSet:     time.Duration(wideLevels(2)) * launchCost,
+		// A kernel's launch bill is its fanned-out launches (the cost
+		// model's launch term, adapt.TriLaunches) × the measured launch
+		// cost: a lower bound, so pruning on it is conservative.
+		bill := func(k kernels.TriKernel) time.Duration {
+			return time.Duration(adapt.TriLaunches(k, tb.info, s.pool.Workers())) * launchCost
 		}
 		best, bestD := tb.kernel, time.Duration(1<<62-1)
 		// Cheapest launch bills first, so the early measurements set the
@@ -71,7 +60,7 @@ func (s *Solver[T]) CalibrateKernels(repeats int) {
 		for _, k := range []kernels.TriKernel{
 			kernels.TriSerial, kernels.TriSyncFree, kernels.TriCuSparseLike, kernels.TriLevelSet,
 		} {
-			if bill[k] >= bestD {
+			if bill(k) >= bestD {
 				continue
 			}
 			// Build only the structures the candidate actually needs.
@@ -88,11 +77,8 @@ func (s *Solver[T]) CalibrateKernels(repeats int) {
 					tb.sched = kernels.NewMergedSchedule(tb.info, 0, s.pool.Workers())
 				}
 			}
-			d := minTime(repeats, func() {
-				fillRand(rng, w[:n])
-				tb.kernel = k
-				s.solveTri(tb, w[:n], x[:n], 1, tb.state, nil)
-			})
+			tb.kernel = k
+			d := s.timeTri(tb, rng, w[:n], x[:n], repeats)
 			if d < bestD {
 				best, bestD = k, d
 			}
@@ -147,6 +133,25 @@ func (s *Solver[T]) CalibrateKernels(repeats int) {
 			sb.dcsr = nil
 		}
 	}
+}
+
+// timeTri is calibration's per-block measurement: the best of repeats
+// solves of tb under its selected kernel, each on fresh random values.
+func (s *Solver[T]) timeTri(tb *triBlock[T], rng *rand.Rand, w, x []T, repeats int) time.Duration {
+	return minTime(repeats, func() {
+		fillRand(rng, w)
+		s.solveTri(tb, w, x, 1, tb.state, nil)
+	})
+}
+
+// TriBlockTime measures triangular block i (in TriKernels order) under its
+// selected kernel the way CalibrateKernels measures a candidate: the best
+// of repeats solves. Comparing it across two plans of one partition tells
+// whether their kernel choices differ by more than noise.
+func (s *Solver[T]) TriBlockTime(i, repeats int) time.Duration {
+	tb := &s.tris[i]
+	n := len(tb.diag)
+	return s.timeTri(tb, rand.New(rand.NewSource(12345)), make([]T, n), make([]T, n), max(1, repeats))
 }
 
 func minTime(repeats int, fn func()) time.Duration {

@@ -283,8 +283,8 @@ func TestChaosResidualFallbackRecovers(t *testing.T) {
 	}
 
 	// Break the preprocessed structure (not the retained original): the
-	// parallel solve now produces garbage for everything downstream of
-	// the first component of the first triangle.
+	// block solve, whichever kernels it runs, now produces garbage for
+	// everything downstream of the first component of the first triangle.
 	s.tris[0].diag[0] *= 1e9
 
 	if err := s.SolveContext(context.Background(), b, x); err != nil {
@@ -307,45 +307,53 @@ func TestChaosResidualFallbackRecovers(t *testing.T) {
 }
 
 // Sessions get the same guarantees with private scratch: concurrent
-// verified guarded solves over one analysis.
+// verified guarded solves over one analysis. The default plan may run
+// every triangle serial on a small machine, so the rung also runs with
+// the triangles pinned to level-set (sessions share the pool's launches)
+// and sync-free (each session spins on its own in-degree counters).
 func TestChaosSessionsSolveContextConcurrently(t *testing.T) {
 	n := 400
 	l := gen.Layered(n, 20, 4, 0, 910)
-	s, err := Preprocess(l, Options{Workers: 2, Kind: Recursive, MinBlockRows: 64,
-		Reorder: true, Adaptive: true, VerifyResidual: 1e-9, Refine: true})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ref := make([]float64, n)
 	b := gen.RandVec(n, 911)
 	kernels.SerialSolveCSR(l, b, ref)
-
-	var wg sync.WaitGroup
-	errs := make([]error, 4)
-	sols := make([][]float64, 4)
-	for g := 0; g < 4; g++ {
-		ses := s.NewSession()
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			x := make([]float64, n)
-			for rep := 0; rep < 10; rep++ {
-				if err := ses.SolveContext(context.Background(), b, x); err != nil {
-					errs[g] = err
-					return
-				}
-			}
-			sols[g] = x
-		}(g)
-	}
-	wg.Wait()
-	for g := 0; g < 4; g++ {
-		if errs[g] != nil {
-			t.Fatalf("session %d: %v", g, errs[g])
+	for _, tri := range []kernels.TriKernel{kernels.TriAuto, kernels.TriLevelSet, kernels.TriSyncFree} {
+		s, err := Preprocess(l, Options{Workers: 2, Kind: Recursive, MinBlockRows: 64,
+			Reorder: true, Adaptive: tri == kernels.TriAuto, ForceTri: tri, VerifyResidual: 1e-9, Refine: true})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range sols[g] {
-			if math.Abs(sols[g][i]-ref[i]) > 1e-9*(1+math.Abs(ref[i])) {
-				t.Fatalf("session %d: x[%d]=%g want %g", g, i, sols[g][i], ref[i])
+		if tri != kernels.TriAuto && s.TriKernelCounts()[tri] == 0 {
+			t.Fatalf("%v: no triangle runs the pinned kernel: %v", tri, s.TriKernelCounts())
+		}
+
+		var wg sync.WaitGroup
+		errs := make([]error, 4)
+		sols := make([][]float64, 4)
+		for g := 0; g < 4; g++ {
+			ses := s.NewSession()
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				x := make([]float64, n)
+				for rep := 0; rep < 10; rep++ {
+					if err := ses.SolveContext(context.Background(), b, x); err != nil {
+						errs[g] = err
+						return
+					}
+				}
+				sols[g] = x
+			}(g)
+		}
+		wg.Wait()
+		for g := 0; g < 4; g++ {
+			if errs[g] != nil {
+				t.Fatalf("%v session %d: %v", tri, g, errs[g])
+			}
+			for i := range sols[g] {
+				if math.Abs(sols[g][i]-ref[i]) > 1e-9*(1+math.Abs(ref[i])) {
+					t.Fatalf("%v session %d: x[%d]=%g want %g", tri, g, i, sols[g][i], ref[i])
+				}
 			}
 		}
 	}

@@ -71,11 +71,14 @@ type Options struct {
 	// Reorder applies the improved structure's level-set reordering (§3.3)
 	// to every triangular range in the partition tree.
 	Reorder bool
-	// Adaptive selects per-block kernels by the decision tree (§3.4).
-	// When false, ForceTri/ForceSpMV are used for every block.
+	// Adaptive selects per-block kernels (§3.4): triangular blocks by the
+	// launch-and-sync cost model (adapt.Thresholds.PickTri), square
+	// blocks by Algorithm 7's SpMV cut points. When false,
+	// ForceTri/ForceSpMV are used for every block.
 	Adaptive bool
-	// Thresholds override the decision-tree cut points; the zero value
-	// selects adapt.DefaultThresholds.
+	// Thresholds override the SpMV cut points and, through LaunchCost,
+	// the cost model's per-launch price; the zero value selects
+	// adapt.DefaultThresholds.
 	Thresholds adapt.Thresholds
 	// ForceTri / ForceSpMV pin the kernels when Adaptive is false.
 	// kernels.TriAuto / kernels.SpMVAuto fall back to adaptive selection.

@@ -29,17 +29,19 @@ var castagnoliTable = crc32.MakeTable(crc32.Castagnoli)
 
 // cacheKey derives the plan-cache key for (matrix structure, options).
 // Every option that changes the preprocessed plan participates; values
-// deliberately do not (see the package comment above).
+// deliberately do not (see the package comment above). So does the
+// runnable parallelism p = min(workers, GOMAXPROCS): the tri cost model
+// prices kernels by it, so a plan analysed at one p is not another's.
 func cacheKey[T sparse.Float](l *sparse.CSR[T], o Options) string {
 	var probe T
 	width := 4
 	if probeIs64(probe) {
 		width = 8
 	}
-	fp := fmt.Sprintf("serial=%d|w%d|kind=%d|nseg=%d|minrows=%d|maxdepth=%d|reorder=%t|adaptive=%t|th=%+v|ftri=%d|fspmv=%d|cal=%t|calreps=%d|workers=%d",
+	fp := fmt.Sprintf("serial=%d|w%d|kind=%d|nseg=%d|minrows=%d|maxdepth=%d|reorder=%t|adaptive=%t|th=%+v|ftri=%d|fspmv=%d|cal=%t|calreps=%d|workers=%d|p=%d",
 		serialVersion, width, o.Kind, o.NSeg, o.MinBlockRows, o.MaxDepth,
 		o.Reorder, o.Adaptive, o.Thresholds, o.ForceTri, o.ForceSpMV,
-		o.Calibrate, o.CalibrateRepeats, o.Pool.Workers())
+		o.Calibrate, o.CalibrateRepeats, o.Pool.Workers(), machineOf(o.Pool).Parallelism())
 	return plancache.DeriveKey(plancache.StructureKey(l.Rows, l.RowPtr, l.ColIdx), fp)
 }
 

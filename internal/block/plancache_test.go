@@ -3,6 +3,7 @@ package block
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -164,6 +165,25 @@ func TestPlanCacheKeyDiscriminatesOptions(t *testing.T) {
 	}
 	if st := c.Stats(); st.Hits != 0 || st.Stores != 4 {
 		t.Fatalf("float32 twin collided with the float64 plan: %+v", st)
+	}
+}
+
+// The tri cost model prices kernels by p = min(workers, GOMAXPROCS), so
+// one matrix and one Options value analysed at p = 1 and at p = 2 are two
+// plans and must not share a cache entry.
+func TestPlanCacheKeyDiscriminatesParallelism(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	o := Options{Pool: exec.NewPool(2), Kind: Recursive, MinBlockRows: 100, Reorder: true, Adaptive: true}
+	l := gen.Layered(900, 20, 4, 0.2, 831)
+	runtime.GOMAXPROCS(1)
+	k1 := cacheKey(l, o)
+	runtime.GOMAXPROCS(2)
+	k2 := cacheKey(l, o)
+	if k1 == k2 {
+		t.Fatalf("p=1 and p=2 share the cache key %s", k1)
+	}
+	if again := cacheKey(l, o); again != k2 {
+		t.Fatalf("key not deterministic at p=2: %s vs %s", again, k2)
 	}
 }
 

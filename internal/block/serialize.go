@@ -498,7 +498,7 @@ func readSolver[T sparse.Float](sr *serialReader, pool exec.Launcher) (*Solver[T
 		return nil, fmt.Errorf("%w: element width %d, loading as width %d", ErrSerialize, gotWidth, wantWidth)
 	}
 
-	s := &Solver[T]{pool: pool}
+	s := &Solver[T]{pool: pool, machine: machineOf(pool)}
 	s.n = sr.i()
 	s.opts.Kind = Kind(sr.u64())
 	s.opts.Reorder = sr.b()

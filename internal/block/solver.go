@@ -3,6 +3,7 @@ package block
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"strings"
@@ -91,6 +92,9 @@ type Solver[T sparse.Float] struct {
 	steps   []planStep
 	traffic Traffic
 	sqNNZ   int
+	// machine is what the tri cost model saw at analysis (or load): the
+	// pool's workers and GOMAXPROCS. Explain prices the plan against it.
+	machine adapt.Machine
 
 	// ses is the solver's own solving context: the scratch and stats
 	// stream of the Solver's solve methods, which forward to it. Its
@@ -135,7 +139,7 @@ func Preprocess[T sparse.Float](l *sparse.CSR[T], opts Options) (*Solver[T], err
 func preprocessCold[T sparse.Float](l *sparse.CSR[T], o Options) (*Solver[T], error) {
 	mAnalyzes.Inc()
 	n := l.Rows
-	s := &Solver[T]{n: n, opts: o, pool: o.Pool, orig: l}
+	s := &Solver[T]{n: n, opts: o, pool: o.Pool, orig: l, machine: machineOf(o.Pool)}
 	s.ses.s = s
 
 	plan := buildPlan(n, o)
@@ -189,7 +193,7 @@ func preprocessCold[T sparse.Float](l *sparse.CSR[T], o Options) (*Solver[T], er
 		s.stepDepth = append(s.stepDepth, spec.depth)
 		switch spec.kind {
 		case triSeg:
-			tb, err := buildTriBlock[T](cscAll, spec, o)
+			tb, err := buildTriBlock[T](cscAll, spec, o, s.machine)
 			if err != nil {
 				return nil, err
 			}
@@ -264,7 +268,12 @@ func (s *Solver[T]) SetTrace(r *TraceRecorder) {
 // Trace returns the attached step recorder, or nil.
 func (s *Solver[T]) Trace() *TraceRecorder { return s.opts.Trace }
 
-func buildTriBlock[T sparse.Float](cscAll *sparse.CSC[T], spec segSpec, o Options) (triBlock[T], error) {
+// machineOf describes where a plan on pool runs, for the tri cost model.
+func machineOf(pool exec.Launcher) adapt.Machine {
+	return adapt.Machine{Workers: pool.Workers(), Procs: runtime.GOMAXPROCS(0)}
+}
+
+func buildTriBlock[T sparse.Float](cscAll *sparse.CSC[T], spec segSpec, o Options, m adapt.Machine) (triBlock[T], error) {
 	sub := sparse.SubCSC(cscAll, spec.rowLo, spec.rowHi, spec.colLo, spec.colHi)
 	strict, diag, err := sparse.SplitDiagCSC(sub)
 	if err != nil {
@@ -285,7 +294,7 @@ func buildTriBlock[T sparse.Float](cscAll *sparse.CSC[T], spec segSpec, o Option
 		// this one never loses.
 		tb.kernel = kernels.TriCompletelyParallel
 	case o.Adaptive || o.ForceTri == kernels.TriAuto:
-		tb.kernel = o.Thresholds.SelectTri(tb.feats)
+		tb.kernel = o.Thresholds.PickTri(tb.feats, info, m)
 	case o.ForceTri == kernels.TriCompletelyParallel:
 		return triBlock[T]{}, fmt.Errorf("block: cannot force completely-parallel kernel on block %v with %d levels", spec, tb.feats.NLevels)
 	default:
@@ -362,6 +371,16 @@ func (s *Solver[T]) Perm() []int {
 		return nil
 	}
 	return append([]int(nil), s.perm...)
+}
+
+// TriKernels lists the selected SpTRSV kernel of every triangular block,
+// in block order.
+func (s *Solver[T]) TriKernels() []kernels.TriKernel {
+	ks := make([]kernels.TriKernel, len(s.tris))
+	for i := range s.tris {
+		ks[i] = s.tris[i].kernel
+	}
+	return ks
 }
 
 // TriKernelCounts tallies the selected SpTRSV kernel per triangular block.

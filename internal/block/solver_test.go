@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/sss-lab/blocksptrsv/internal/adapt"
 	"github.com/sss-lab/blocksptrsv/internal/exec"
 	"github.com/sss-lab/blocksptrsv/internal/gen"
 	"github.com/sss-lab/blocksptrsv/internal/kernels"
@@ -139,8 +140,10 @@ func TestAdaptiveSelectionPerStructure(t *testing.T) {
 		t.Fatalf("diag kernel counts: %v", counts)
 	}
 
-	// A single un-split very deep chain must select the cuSPARSE-like
-	// kernel (nlevels > 20000 branch of Algorithm 7).
+	// A single un-split very deep chain runs serial at any parallelism:
+	// 25000 launched or handed-off levels cannot pay for themselves.
+	// (Algorithm 7 picks cuSPARSE-like here; adapt's
+	// TestSelectTriAlgorithm7Structures keeps that assertion.)
 	deep := gen.SerialChain(25000, 0, 2)
 	s, err = Preprocess(deep, Options{
 		Pool: pool, Kind: ColumnBlock, NSeg: 1, Reorder: false, Adaptive: true,
@@ -149,12 +152,12 @@ func TestAdaptiveSelectionPerStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts = s.TriKernelCounts()
-	if counts[kernels.TriCuSparseLike] != 1 {
+	if counts[kernels.TriSerial] != 1 {
 		t.Fatalf("deep chain kernel counts: %v", counts)
 	}
 
-	// A shallow layered system must pick level-set for blocks with few
-	// levels and short rows.
+	// A shallow layered system gets the cost model's pick for this
+	// GOMAXPROCS, and serial when only one worker can run.
 	shallow := gen.Layered(4000, 8, 3, 0, 3)
 	s, err = Preprocess(shallow, Options{
 		Pool: pool, Kind: ColumnBlock, NSeg: 1, Reorder: false, Adaptive: true,
@@ -162,9 +165,14 @@ func TestAdaptiveSelectionPerStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts = s.TriKernelCounts()
-	if counts[kernels.TriLevelSet] != 1 {
-		t.Fatalf("shallow kernel counts: %v", counts)
+	tb := &s.tris[0]
+	m := machineOf(pool)
+	want := adapt.DefaultThresholds().PickTri(tb.feats, tb.info, m)
+	if m.Parallelism() == 1 && want != kernels.TriSerial {
+		t.Fatalf("shallow at p=1: model picks %v, want serial", want)
+	}
+	if counts = s.TriKernelCounts(); len(s.tris) != 1 || counts[want] != 1 {
+		t.Fatalf("shallow kernel counts: %v, want one %v (%+v)", counts, want, m)
 	}
 }
 

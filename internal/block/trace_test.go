@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -247,6 +249,31 @@ func TestExplainStable(t *testing.T) {
 	}
 	if ses := s1.NewSession(); ses.Explain() != e1 {
 		t.Fatal("Session.Explain differs from Solver.Explain")
+	}
+	// Every triangle carries the model's estimate for its kernel and for
+	// serial; the header names GOMAXPROCS.
+	if n := strings.Count(e1, " est="); n != s1.NumTriBlocks() {
+		t.Fatalf("%d tri estimates for %d triangles:\n%s", n, s1.NumTriBlocks(), e1)
+	}
+	if want := fmt.Sprintf("workers=2 procs=%d ", runtime.GOMAXPROCS(0)); !strings.Contains(e1, want) {
+		t.Fatalf("Explain header lacks %q:\n%s", want, e1)
+	}
+}
+
+// TestExplainFlagsOversubscription: a pool with more workers than Ps is
+// the hazard behind sync-free's exclusion, so Explain names it.
+func TestExplainFlagsOversubscription(t *testing.T) {
+	l := gen.Layered(400, 10, 3, 0, 98)
+	procs := runtime.GOMAXPROCS(0)
+	for _, workers := range []int{procs, procs + 1} {
+		s, err := Preprocess(l, Options{Pool: exec.NewPool(workers), Kind: Recursive, MinBlockRows: 64, Adaptive: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := strings.Contains(s.Explain(), " oversubscribed ")
+		if want := workers > procs; got != want {
+			t.Fatalf("workers=%d procs=%d: oversubscribed marker %v, want %v:\n%s", workers, procs, got, want, s.Explain())
+		}
 	}
 }
 
