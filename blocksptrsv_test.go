@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	sptrsv "github.com/sss-lab/blocksptrsv"
+	"github.com/sss-lab/blocksptrsv/internal/metrics"
 )
 
 // buildRandomLower assembles a well-conditioned lower-triangular system
@@ -48,6 +49,41 @@ func TestAnalyzeSolveRoundTrip(t *testing.T) {
 	b := make([]float64, l.Rows)
 	for i := range b {
 		b[i] = float64(i%11) - 5
+	}
+	x := make([]float64, l.Rows)
+	s.Solve(b, x)
+	if r := publicResidual(l, x, b); r > 1e-9 {
+		t.Fatalf("residual %g", r)
+	}
+}
+
+// Options.Auto must reach Analyze, not only the algorithm registry: on a
+// matrix that partitions into several blocks, auto analysis times more
+// than one candidate, so it runs more than one analysis.
+func TestAnalyzeHonoursAuto(t *testing.T) {
+	l := buildRandomLower(3000, 0.01, 1)
+	o := sptrsv.DefaultOptions(2)
+	o.MinBlockRows = 300
+	probe, err := sptrsv.Analyze(l, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if probe.NumTriBlocks() < 2 {
+		t.Fatalf("test matrix gives %d triangular block(s), want several", probe.NumTriBlocks())
+	}
+	analyzes := metrics.Default.Counter("analyzes")
+	before := analyzes.Value()
+	o.Auto = true
+	s, err := sptrsv.Analyze(l, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := analyzes.Value() - before; n < 2 {
+		t.Fatalf("Analyze with Auto ran %d analyses, want one per candidate (at least 2)", n)
+	}
+	b := make([]float64, l.Rows)
+	for i := range b {
+		b[i] = float64(i%7) - 3
 	}
 	x := make([]float64, l.Rows)
 	s.Solve(b, x)

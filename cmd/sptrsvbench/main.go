@@ -39,7 +39,7 @@ func main() {
 		csvDir     = flag.String("csvdir", "", "directory for machine-readable figure data (.csv); empty disables")
 		workersS   = flag.Int("workers-small", 0, "worker count of the small device (0 = 2/3 of GOMAXPROCS)")
 		workersL   = flag.Int("workers-large", 0, "worker count of the large device (0 = GOMAXPROCS)")
-		launcher   = flag.String("launcher", "spin", "launch style for both devices: spin, spawn, or channel")
+		launcher   = flag.String("launcher", "spin", "launch style for both devices: spin or spawn")
 		list       = flag.Bool("list", false, "list experiments and exit")
 
 		suite    = flag.Bool("suite", false, "run the canonical benchmark suite instead of paper experiments")

@@ -12,10 +12,10 @@ import (
 	"github.com/sss-lab/blocksptrsv/internal/levelset"
 )
 
-// launchStyles are the three launch mechanisms compared by the launch
+// launchStyles are the two launch mechanisms compared by the launch
 // experiment, in the order they appear in the report.
 func launchStyles() []exec.LaunchStyle {
-	return []exec.LaunchStyle{exec.LaunchSpawn, exec.LaunchChannel, exec.LaunchSpin}
+	return []exec.LaunchStyle{exec.LaunchSpawn, exec.LaunchSpin}
 }
 
 // LaunchOverhead quantifies the cost model at the heart of the paper: the
@@ -24,10 +24,10 @@ func launchStyles() []exec.LaunchStyle {
 // the harness counterpart of BenchmarkLaunchOverhead in internal/exec.
 func LaunchOverhead(w io.Writer, p Params) error {
 	// Part 1: bare per-launch latency per style per device profile.
-	fmt.Fprintln(w, "Launch overhead: per-launch latency of the three launcher styles")
+	fmt.Fprintln(w, "Launch overhead: per-launch latency of the two launcher styles")
 	fmt.Fprintln(w, "(empty full-width ParallelFor, best of 3 rounds)")
 	fmt.Fprintln(w)
-	t := newTable("device", "workers", "spawn ns", "channel ns", "spin ns", "spawn/spin")
+	t := newTable("device", "workers", "spawn ns", "spin ns", "spawn/spin")
 	for _, dev := range p.Devices {
 		row := []string{dev.Name, fmt.Sprint(dev.Workers)}
 		costs := map[exec.LaunchStyle]time.Duration{}
@@ -62,7 +62,7 @@ func LaunchOverhead(w io.Writer, p Params) error {
 		st := levelset.FromLowerCSR(l).Stats()
 		fmt.Fprintf(w, "\nmatrix %s: n=%d nnz=%d levels=%d (avg width %.1f) on %s\n\n",
 			e.Name, l.Rows, l.NNZ(), st.NLevels, st.AvgWidth, dev)
-		tt := newTable("algorithm", "spawn ms", "channel ms", "spin ms", "spawn/spin", "launches")
+		tt := newTable("algorithm", "spawn ms", "spin ms", "spawn/spin", "launches")
 		for _, name := range []string{core.LevelSet, core.CuSparseLike, core.BlockRecursive} {
 			row := []string{name}
 			times := map[exec.LaunchStyle]time.Duration{}
@@ -101,7 +101,7 @@ func LaunchOverhead(w io.Writer, p Params) error {
 		}
 		tt.write(w)
 	}
-	fmt.Fprintln(w, "\nexpected shape: spin at or ahead of spawn and channel, with the gap")
+	fmt.Fprintln(w, "\nexpected shape: spin at or ahead of spawn, with the gap")
 	fmt.Fprintln(w, "widening as launches per solve grow (level-set on deep matrices)")
 	return nil
 }

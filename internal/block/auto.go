@@ -22,7 +22,14 @@ import (
 // Trial count is max(2, CalibrateRepeats). The extra preprocessing cost is
 // bounded by a small constant factor and amortises in the multi-rhs and
 // iterative scenarios of Table 5 exactly like the base preprocessing.
+//
+// Preprocess routes here when Options.Auto is set. The options are
+// normalised once, so every candidate runs on the same pool (a nil
+// Options.Pool does not leave one resident pool per losing candidate
+// behind), and each candidate is analysed with Auto cleared.
 func PreprocessAuto[T sparse.Float](l *sparse.CSR[T], opts Options) (*Solver[T], error) {
+	opts = opts.normalised()
+	opts.Auto = false
 	first, err := Preprocess(l, opts)
 	if err != nil {
 		return nil, err

@@ -2,8 +2,10 @@ package block
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"github.com/sss-lab/blocksptrsv/internal/exec"
 	"github.com/sss-lab/blocksptrsv/internal/gen"
@@ -79,13 +81,7 @@ func TestOptionSpaceFuzz(t *testing.T) {
 			o.ForceTri = tris[rng.Intn(len(tris))]
 			o.ForceSpMV = spmvs[rng.Intn(len(spmvs))]
 		}
-		var s *Solver[float64]
-		var err error
-		if o.Auto {
-			s, err = PreprocessAuto(l, o)
-		} else {
-			s, err = Preprocess(l, o)
-		}
+		s, err := Preprocess(l, o)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -97,5 +93,53 @@ func TestOptionSpaceFuzz(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(902))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// PreprocessAuto with no pool must build one pool and run every candidate
+// on it: the losing candidates' solvers are dropped, and a pool of their
+// own would stay resident behind them.
+func TestPreprocessAutoSharesOnePool(t *testing.T) {
+	l := testMatrices()["layered"]
+	o := Options{Workers: 3, Kind: Recursive, MinBlockRows: 200, Reorder: true, Adaptive: true}
+	probe, err := Preprocess(l, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if probe.Perm() == nil || probe.NumTriBlocks() < 2 {
+		t.Fatal("test matrix no longer yields all three auto candidates")
+	}
+	// settled waits out goroutines of earlier tests that are still
+	// exiting, so the deltas count only resident pool workers.
+	settled := func() int {
+		n := runtime.NumGoroutine()
+		for i := 0; i < 200; i++ {
+			time.Sleep(time.Millisecond)
+			m := runtime.NumGoroutine()
+			if m == n {
+				break
+			}
+			n = m
+		}
+		return n
+	}
+	const calls = 5
+	resident := func(preprocess func() (*Solver[float64], error)) int {
+		before := settled()
+		for i := 0; i < calls; i++ {
+			if _, err := preprocess(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return settled() - before
+	}
+	plain := resident(func() (*Solver[float64], error) { return Preprocess(l, o) })
+	auto := resident(func() (*Solver[float64], error) { return PreprocessAuto(l, o) })
+	if want := calls * (o.Workers - 1); plain != want {
+		t.Fatalf("%d plain Preprocess calls left %d goroutines, want %d", calls, plain, want)
+	}
+	if auto > plain {
+		t.Fatalf("%d PreprocessAuto calls left %d resident goroutines, %d plain calls left %d",
+			calls, auto, calls, plain)
 	}
 }

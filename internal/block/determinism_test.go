@@ -35,7 +35,7 @@ func TestSolveReproducibleAcrossLaunchersAndRuns(t *testing.T) {
 			ForceTri: kernels.TriLevelSet, ForceSpMV: kernels.SpMVVectorDCSR,
 		},
 	}
-	styles := []exec.LaunchStyle{exec.LaunchSpin, exec.LaunchSpawn, exec.LaunchChannel}
+	styles := []exec.LaunchStyle{exec.LaunchSpin, exec.LaunchSpawn}
 	for name, l := range testMatrices() {
 		b := gen.RandVec(l.Rows, 620)
 		for cname, base := range configs {

@@ -126,7 +126,7 @@ type Options struct {
 	Calibrate bool
 	// CalibrateRepeats is the best-of-N repeat count; <=0 means 2.
 	CalibrateRepeats int
-	// Auto routes construction through PreprocessAuto: a few candidate
+	// Auto routes Preprocess through PreprocessAuto: a few candidate
 	// configurations (as-given, no-reorder, single-triangle) are timed and
 	// the fastest kept. Guarantees the solver is never slower than the
 	// best single whole-matrix kernel.

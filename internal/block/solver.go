@@ -116,8 +116,13 @@ type Solver[T sparse.Float] struct {
 // according to opts. It performs the full pipeline of §3.3: optional
 // recursive level-set reordering, partition into triangular and square
 // blocks stored in execution order, per-block format choice (CSC triangles
-// with separated diagonals, CSR/DCSR squares) and kernel selection.
+// with separated diagonals, CSR/DCSR squares) and kernel selection. With
+// opts.Auto set it instead keeps the fastest of a few candidate
+// configurations (PreprocessAuto).
 func Preprocess[T sparse.Float](l *sparse.CSR[T], opts Options) (*Solver[T], error) {
+	if opts.Auto {
+		return PreprocessAuto(l, opts)
+	}
 	o := opts.normalised()
 	if o.Validate {
 		if err := sparse.ValidateLower(l); err != nil {

@@ -3,8 +3,6 @@ package block
 import (
 	"fmt"
 	"io"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -15,10 +13,10 @@ import (
 // Per-step execution tracing: the measurement behind the paper's Figure 4
 // made first-class. A TraceRecorder attached via Options.Trace receives
 // one record per plan step per solve — segment kind, selected kernel,
-// block geometry, wall time — into a preallocated ring buffer, so tracing
-// a solve costs two clock reads, one short critical section and one
-// struct copy per step, and never allocates. A nil recorder (the default)
-// costs one pointer check per step.
+// block geometry, wall time — into a preallocated metrics.Ring, so
+// tracing a solve costs two clock reads, one short critical section and
+// one struct copy per step, and never allocates. A nil recorder (the
+// default) costs one pointer check per step.
 //
 // The ring is bounded: when full, the oldest steps are overwritten and
 // Dropped counts what was lost. Export either as a text table (WriteTable)
@@ -85,10 +83,7 @@ type stepMeta struct {
 type TraceRecorder struct {
 	epoch  time.Time
 	solves atomic.Int64
-
-	mu    sync.Mutex
-	ring  []traceRec
-	total int64 // records ever written; ring holds the last len(ring)
+	ring   *metrics.Ring[traceRec]
 }
 
 // NewTraceRecorder returns a recorder holding the most recent capacity
@@ -98,7 +93,7 @@ func NewTraceRecorder(capacity int) *TraceRecorder {
 	if capacity <= 0 {
 		capacity = 1 << 16
 	}
-	return &TraceRecorder{epoch: time.Now(), ring: make([]traceRec, capacity)}
+	return &TraceRecorder{epoch: time.Now(), ring: metrics.NewRing[traceRec](capacity)}
 }
 
 // beginSolve assigns the next solve sequence number.
@@ -125,60 +120,26 @@ func (r *TraceRecorder) record(solve int64, step int, m stepMeta, kernel uint8, 
 		kind:   m.kind,
 		kernel: kernel,
 	}
-	r.mu.Lock()
-	r.ring[r.total%int64(len(r.ring))] = rec
-	r.total++
-	r.mu.Unlock()
+	r.ring.Push(rec)
 }
 
 // Len reports how many steps the ring currently holds.
-func (r *TraceRecorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.total < int64(len(r.ring)) {
-		return int(r.total)
-	}
-	return len(r.ring)
-}
+func (r *TraceRecorder) Len() int { return r.ring.Len() }
 
 // Total reports how many steps have ever been recorded, including any
 // overwritten by the bounded ring.
-func (r *TraceRecorder) Total() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
+func (r *TraceRecorder) Total() int64 { return int64(r.ring.Total()) }
 
 // Dropped reports how many recorded steps the ring has overwritten.
-func (r *TraceRecorder) Dropped() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if d := r.total - int64(len(r.ring)); d > 0 {
-		return d
-	}
-	return 0
-}
+func (r *TraceRecorder) Dropped() int64 { return int64(r.ring.Dropped()) }
 
 // Reset forgets all recorded steps (capacity and epoch are kept).
-func (r *TraceRecorder) Reset() {
-	r.mu.Lock()
-	r.total = 0
-	r.mu.Unlock()
-}
+func (r *TraceRecorder) Reset() { r.ring.Reset() }
 
 // snapshot copies the retained records oldest-first.
 func (r *TraceRecorder) snapshot() []traceRec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := int64(len(r.ring))
-	if r.total < n {
-		return append([]traceRec(nil), r.ring[:r.total]...)
-	}
-	out := make([]traceRec, 0, n)
-	at := r.total % n
-	out = append(out, r.ring[at:]...)
-	out = append(out, r.ring[:at]...)
-	return out
+	recs, _ := r.ring.Last(r.ring.Cap())
+	return recs
 }
 
 func (rec traceRec) export() TraceStep {
@@ -219,31 +180,14 @@ func (r *TraceRecorder) Steps() []TraceStep {
 // number becomes the thread id so concurrent sessions land on separate
 // timeline rows, and block geometry travels in args.
 func (r *TraceRecorder) WriteChromeTrace(w io.Writer) error {
-	recs := r.snapshot()
-	var b strings.Builder
-	b.WriteString("{\"traceEvents\":[")
-	for i, rec := range recs {
+	ew := metrics.NewEventWriter(w)
+	for _, rec := range r.snapshot() {
 		st := rec.export()
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b,
-			`{"name":%q,"cat":%q,"ph":"X","ts":%.3f,"dur":%.3f,"pid":1,"tid":%d,`+
-				`"args":{"step":%d,"block":%d,"rows":%d,"cols":%d,"nnz":%d,"levels":%d}}`,
-			st.Kernel, st.Kind,
-			float64(st.Start.Nanoseconds())/1e3, float64(st.Duration.Nanoseconds())/1e3,
-			st.Solve,
-			st.Step, st.Block, st.Rows, st.Cols, st.NNZ, st.Levels)
-		if b.Len() >= 1<<16 {
-			if _, err := io.WriteString(w, b.String()); err != nil {
-				return err
-			}
-			b.Reset()
-		}
+		ew.Complete(st.Kernel, st.Kind, st.Solve, st.Start, st.Duration,
+			fmt.Sprintf(`"step":%d,"block":%d,"rows":%d,"cols":%d,"nnz":%d,"levels":%d`,
+				st.Step, st.Block, st.Rows, st.Cols, st.NNZ, st.Levels))
 	}
-	b.WriteString("],\"displayTimeUnit\":\"ns\"}\n")
-	_, err := io.WriteString(w, b.String())
-	return err
+	return ew.Close()
 }
 
 // WriteTable writes the retained steps as an aligned text table,

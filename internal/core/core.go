@@ -93,21 +93,13 @@ func New[T sparse.Float](name string, l *sparse.CSR[T], cfg Config) (Solver[T], 
 	case Jacobi:
 		return kernels.NewJacobiSolver(cfg.pool(), l)
 	case BlockRecursive:
-		return newBlock(l, cfg.blockOptions(block.Recursive))
+		return block.Preprocess(l, cfg.blockOptions(block.Recursive))
 	case BlockColumn:
-		return newBlock(l, cfg.blockOptions(block.ColumnBlock))
+		return block.Preprocess(l, cfg.blockOptions(block.ColumnBlock))
 	case BlockRow:
-		return newBlock(l, cfg.blockOptions(block.RowBlock))
+		return block.Preprocess(l, cfg.blockOptions(block.RowBlock))
 	}
 	known := AlgorithmNames()
 	sort.Strings(known)
 	return nil, fmt.Errorf("core: unknown algorithm %q (known: %v)", name, known)
-}
-
-// newBlock dispatches to plain or auto-variant preprocessing.
-func newBlock[T sparse.Float](l *sparse.CSR[T], o block.Options) (Solver[T], error) {
-	if o.Auto {
-		return block.PreprocessAuto(l, o)
-	}
-	return block.Preprocess(l, o)
 }

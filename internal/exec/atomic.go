@@ -9,59 +9,10 @@ import (
 	"github.com/sss-lab/blocksptrsv/internal/sparse"
 )
 
-// AtomicAddFloat atomically adds v to *p with a compare-and-swap loop on
-// the float's bit pattern — the CPU analogue of CUDA's atomicAdd on
-// float/double. The pointer must be naturally aligned, which Go guarantees
-// for slice elements of float32/float64.
-//
-//sptrsv:hotpath
-func AtomicAddFloat[T sparse.Float](p *T, v T) {
-	// The addend conversion is hoisted out of the CAS loops so a contended
-	// retry repeats only the load/add/CAS, not the T→float conversion.
-	if unsafe.Sizeof(*p) == 8 {
-		ap := (*uint64)(unsafe.Pointer(p))
-		add := float64(v)
-		for {
-			old := atomic.LoadUint64(ap)
-			nv := math.Float64bits(math.Float64frombits(old) + add)
-			if atomic.CompareAndSwapUint64(ap, old, nv) {
-				return
-			}
-		}
-	}
-	ap := (*uint32)(unsafe.Pointer(p))
-	add := float32(v)
-	for {
-		old := atomic.LoadUint32(ap)
-		nv := math.Float32bits(math.Float32frombits(old) + add)
-		if atomic.CompareAndSwapUint32(ap, old, nv) {
-			return
-		}
-	}
-}
-
-// AtomicLoadFloat atomically reads *p.
-//
-//sptrsv:hotpath
-func AtomicLoadFloat[T sparse.Float](p *T) T {
-	if unsafe.Sizeof(*p) == 8 {
-		return T(math.Float64frombits(atomic.LoadUint64((*uint64)(unsafe.Pointer(p)))))
-	}
-	return T(math.Float32frombits(atomic.LoadUint32((*uint32)(unsafe.Pointer(p)))))
-}
-
-// AtomicStoreFloat atomically writes v to *p.
-//
-//sptrsv:hotpath
-func AtomicStoreFloat[T sparse.Float](p *T, v T) {
-	if unsafe.Sizeof(*p) == 8 {
-		atomic.StoreUint64((*uint64)(unsafe.Pointer(p)), math.Float64bits(float64(v)))
-		return
-	}
-	atomic.StoreUint32((*uint32)(unsafe.Pointer(p)), math.Float32bits(float32(v)))
-}
-
-// AtomicMaxFloat atomically raises *p to v if v is larger.
+// AtomicMaxFloat atomically raises *p to v if v is larger, with a
+// compare-and-swap loop on the float's bit pattern. The pointer must be
+// naturally aligned, which Go guarantees for float32/float64 variables
+// and slice elements. Jacobi sweeps use it to fold per-chunk maxima.
 //
 //sptrsv:hotpath
 func AtomicMaxFloat[T sparse.Float](p *T, v T) {
@@ -101,37 +52,14 @@ type PaddedInt32 struct {
 	_ [60]byte
 }
 
-// SpinUntilZero busy-waits until the counter reaches zero, the analogue of
-// a sync-free warp spinning on a component's in-degree. The dominant case
-// — rows whose dependencies already resolved — is one atomic load that
-// inlines into the kernel inner loop (the whole spin loop costs 89 against
-// the compiler's budget of 80, so the wait is outlined into the slow
-// variant, which spins a short burst and then yields to the scheduler so
-// that on small pools the goroutine holding the dependency can run).
-//
-//sptrsv:hotpath
-func SpinUntilZero(c *atomic.Int32) {
-	if c.Load() == 0 {
-		return
-	}
-	spinUntilZeroSlow(c)
-}
-
-//sptrsv:hotpath
-func spinUntilZeroSlow(c *atomic.Int32) {
-	for spins := 0; ; spins++ {
-		if c.Load() == 0 {
-			return
-		}
-		if spins&63 == 63 {
-			runtime.Gosched()
-		}
-	}
-}
-
-// SpinUntilNonZero busy-waits until the flag becomes non-zero — the
-// ready-flag counterpart of SpinUntilZero used by gather-form sync-free
-// kernels, with the same inlinable already-set fast path.
+// SpinUntilNonZero busy-waits until the flag becomes non-zero, the
+// analogue of a gather-form sync-free warp spinning on a dependency's
+// ready flag. The dominant case — dependencies that already resolved —
+// is one atomic load that inlines into the kernel inner loop (the whole
+// spin loop costs 89 against the compiler's budget of 80, so the wait is
+// outlined into the slow variant, which spins a short burst and then
+// yields to the scheduler so that on small pools the goroutine holding
+// the dependency can run).
 //
 //sptrsv:hotpath
 func SpinUntilNonZero(c *atomic.Int32) {

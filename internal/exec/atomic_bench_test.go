@@ -14,7 +14,7 @@ func BenchmarkSpinResolvedFastPath(b *testing.B) {
 	counters := make([]PaddedInt32, 1024)
 	b.Run("until-zero", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			SpinUntilZero(&counters[i&1023].V)
+			SpinUntilZeroGuarded(&counters[i&1023].V, nil)
 		}
 	})
 

@@ -3,11 +3,8 @@
 package exec
 
 // Compiled only under the bcecheck build tag: forces instantiation of the
-// generic hot-path atomic helpers so `go build -gcflags=-d=ssa/check_bce`
-// sees their bodies (see internal/kernels/bce_force.go).
+// generic hot-path atomic helper so `go build -gcflags=-d=ssa/check_bce`
+// sees its body (see internal/kernels/bce_force.go).
 var bceForceInstantiations = [...]any{
-	AtomicAddFloat[float64], AtomicAddFloat[float32],
-	AtomicLoadFloat[float64], AtomicLoadFloat[float32],
-	AtomicStoreFloat[float64], AtomicStoreFloat[float32],
 	AtomicMaxFloat[float64], AtomicMaxFloat[float32],
 }

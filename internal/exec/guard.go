@@ -147,12 +147,12 @@ func (g *Guard) Stall() (row int, indeg int32, ok bool) {
 	return int(r), g.stallDeg.Load(), true
 }
 
-// SpinUntilZeroGuarded busy-waits like SpinUntilZero but additionally
-// polls the guard, returning false the moment it trips. The extra guard
+// SpinUntilZeroGuarded busy-waits until the counter reaches zero while
+// polling the guard, returning false the moment it trips. The extra guard
 // load per iteration is the entire per-iteration cost of the guarded
-// solve path's spin loops. Like SpinUntilZero, the already-resolved fast
-// path is one atomic load that inlines into the kernel; the wait loop is
-// outlined. With a nil guard it waits like SpinUntilZero.
+// solve path's spin loops. Like SpinUntilNonZero, the already-resolved
+// fast path is one atomic load that inlines into the kernel; the wait
+// loop is outlined. A nil guard never trips, so it waits unconditionally.
 //
 //sptrsv:hotpath
 func SpinUntilZeroGuarded(c *atomic.Int32, g *Guard) bool {

@@ -8,8 +8,8 @@ import (
 )
 
 // launcherCase names one Launcher implementation for the conformance table.
-// Every behavioural guarantee the kernels rely on is asserted against all
-// three styles here, so a new launcher only has to be added to this list to
+// Every behavioural guarantee the kernels rely on is asserted against both
+// styles here, so a new launcher only has to be added to this list to
 // inherit the full suite.
 type launcherCase struct {
 	style LaunchStyle
@@ -19,7 +19,6 @@ type launcherCase struct {
 func launcherCases() []launcherCase {
 	return []launcherCase{
 		{LaunchSpawn, func(w int) Launcher { return NewPool(w) }},
-		{LaunchChannel, func(w int) Launcher { return NewPersistentPool(w) }},
 		{LaunchSpin, func(w int) Launcher { return NewSpinPool(w) }},
 	}
 }
@@ -304,7 +303,7 @@ func TestNewLauncherStyles(t *testing.T) {
 }
 
 func TestParseLaunchStyle(t *testing.T) {
-	for _, s := range []string{"spin", "spawn", "channel", ""} {
+	for _, s := range []string{"spin", "spawn", ""} {
 		st, err := ParseLaunchStyle(s)
 		if err != nil {
 			t.Fatalf("ParseLaunchStyle(%q): %v", s, err)
@@ -313,8 +312,10 @@ func TestParseLaunchStyle(t *testing.T) {
 			t.Fatalf("round-trip %q -> %v", s, st)
 		}
 	}
-	if _, err := ParseLaunchStyle("cuda"); err == nil {
-		t.Fatal("expected error for unknown style")
+	for _, s := range []string{"cuda", "channel"} {
+		if _, err := ParseLaunchStyle(s); err == nil {
+			t.Fatalf("expected error for unknown style %q", s)
+		}
 	}
 }
 
@@ -328,10 +329,9 @@ func TestMeasureLaunchCost(t *testing.T) {
 	}
 }
 
-// BenchmarkLaunchOverhead is the tentpole's acceptance metric: per-launch
-// latency of an empty 64-chunk ParallelFor, per style, at GOMAXPROCS and at
-// a fixed 4 workers (on small machines GOMAXPROCS-wide pools inline and
-// measure nothing).
+// BenchmarkLaunchOverhead measures the per-launch latency of an empty
+// 64-chunk ParallelFor, per style, at GOMAXPROCS and at a fixed 4 workers
+// (on small machines GOMAXPROCS-wide pools inline and measure nothing).
 func BenchmarkLaunchOverhead(b *testing.B) {
 	counts := []int{runtime.GOMAXPROCS(0)}
 	if counts[0] != 4 {

@@ -5,7 +5,7 @@
 //     real scheduling cost plays the role of launch latency),
 //   - a warp / thread       → a worker goroutine,
 //   - a global barrier      → the join at the end of ParallelFor,
-//   - GPU atomics           → sync/atomic CAS loops on float bit patterns,
+//   - dependency flags      → cache-line-padded atomic.Int32 counters,
 //   - busy-waiting warps    → SpinWait with runtime.Gosched backoff,
 //   - the two GPUs tested   → two Device profiles with different worker
 //     counts.
@@ -24,9 +24,8 @@ import (
 // Launcher is the execution interface every kernel runs on: data-parallel
 // launches with a completion barrier (ParallelFor) and persistent-kernel
 // launches (Run). Pool implements it with goroutine-per-launch semantics;
-// PersistentPool with resident workers fed over channels; SpinPool with
-// resident workers driven by an atomic epoch broadcast and a spin barrier
-// (the lowest-latency launch path, and the device default).
+// SpinPool with resident workers driven by an atomic epoch broadcast and a
+// spin barrier (the lowest-latency launch path, and the device default).
 type Launcher interface {
 	// Workers reports the device's worker count.
 	Workers() int
@@ -163,17 +162,12 @@ const (
 	LaunchSpin LaunchStyle = iota
 	// LaunchSpawn selects Pool: a goroutine spawn per worker per launch.
 	LaunchSpawn
-	// LaunchChannel selects PersistentPool: resident workers fed over
-	// per-worker channels with a WaitGroup join.
-	LaunchChannel
 )
 
 func (s LaunchStyle) String() string {
 	switch s {
 	case LaunchSpawn:
 		return "spawn"
-	case LaunchChannel:
-		return "channel"
 	default:
 		return "spin"
 	}
@@ -186,10 +180,8 @@ func ParseLaunchStyle(s string) (LaunchStyle, error) {
 		return LaunchSpin, nil
 	case "spawn":
 		return LaunchSpawn, nil
-	case "channel":
-		return LaunchChannel, nil
 	}
-	return LaunchSpin, fmt.Errorf("exec: unknown launcher style %q (want spin, spawn or channel)", s)
+	return LaunchSpin, fmt.Errorf("exec: unknown launcher style %q (want spin or spawn)", s)
 }
 
 // NewLauncher constructs a launcher of the given style and worker count
@@ -198,8 +190,6 @@ func NewLauncher(style LaunchStyle, workers int) Launcher {
 	switch style {
 	case LaunchSpawn:
 		return NewPool(workers)
-	case LaunchChannel:
-		return NewPersistentPool(workers)
 	default:
 		return NewSpinPool(workers)
 	}
@@ -222,8 +212,8 @@ type Device struct {
 }
 
 // Pool returns a launcher sized for the device in the device's launch
-// style. Spin and channel launchers keep resident workers; callers that
-// create launchers transiently should release them with CloseLauncher.
+// style. A spin launcher keeps resident workers; callers that create
+// launchers transiently should release them with CloseLauncher.
 func (d Device) Pool() Launcher { return NewLauncher(d.Style, d.Workers) }
 
 // MinBlockRows is the smallest number of rows worth splitting further on

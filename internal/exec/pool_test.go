@@ -1,12 +1,9 @@
 package exec
 
 import (
-	"math"
-	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
 func TestParallelForCoversRangeExactlyOnce(t *testing.T) {
@@ -87,65 +84,19 @@ func TestNewPoolDefaults(t *testing.T) {
 	}
 }
 
-func TestAtomicAddFloat64Concurrent(t *testing.T) {
-	p := NewPool(8)
-	var acc float64
-	n := 4000
-	p.ParallelFor(n, 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			AtomicAddFloat(&acc, 0.5)
-		}
-	})
-	if acc != float64(n)*0.5 {
-		t.Fatalf("got %g want %g", acc, float64(n)*0.5)
-	}
-}
-
-func TestAtomicAddFloat32Concurrent(t *testing.T) {
-	p := NewPool(8)
-	var acc float32
-	n := 2048 // exactly representable sums
-	p.ParallelFor(n, 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			AtomicAddFloat(&acc, 0.25)
-		}
-	})
-	if acc != float32(n)*0.25 {
-		t.Fatalf("got %g want %g", acc, float32(n)*0.25)
-	}
-}
-
-func TestAtomicLoadStoreFloat(t *testing.T) {
-	f := func(v float64) bool {
-		var x float64
-		AtomicStoreFloat(&x, v)
-		got := AtomicLoadFloat(&x)
-		return got == v || (math.IsNaN(got) && math.IsNaN(v))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(40))}); err != nil {
-		t.Fatal(err)
-	}
-	var y float32
-	AtomicStoreFloat(&y, 3.5)
-	if AtomicLoadFloat(&y) != 3.5 {
-		t.Fatal("float32 load/store")
-	}
-}
-
-func TestSpinUntilZero(t *testing.T) {
+func TestSpinUntilNonZero(t *testing.T) {
 	p := NewPool(2)
 	var gate atomic.Int32
-	gate.Store(1)
 	var order atomic.Int32
 	p.Run(func(w int) {
 		if w == 0 {
-			SpinUntilZero(&gate)
+			SpinUntilNonZero(&gate)
 			if order.Load() != 1 {
 				t.Error("spinner released before gate opened")
 			}
 		} else {
 			order.Store(1)
-			gate.Store(0)
+			gate.Store(1)
 		}
 	})
 }

@@ -21,7 +21,7 @@ import (
 func launchers(workers ...int) []exec.Launcher {
 	var out []exec.Launcher
 	for _, w := range workers {
-		for _, style := range []exec.LaunchStyle{exec.LaunchSpin, exec.LaunchSpawn, exec.LaunchChannel} {
+		for _, style := range []exec.LaunchStyle{exec.LaunchSpin, exec.LaunchSpawn} {
 			out = append(out, exec.NewLauncher(style, w))
 		}
 	}

@@ -4,14 +4,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 	"time"
+
+	"github.com/sss-lab/blocksptrsv/internal/metrics"
 )
 
 // Exports: the flight ring as a per-request span tree in Chrome
 // trace_event JSON (chrome://tracing, Perfetto), as an aligned text
 // table, and as the flight dump — ring plus fault snapshots — in text or
-// JSON. All exports snapshot under the ring mutex and format outside it.
+// JSON. All exports copy the ring under its mutex and format outside it.
 
 // WriteChromeTrace writes the retained records as Chrome trace_event
 // JSON. Each request is one timeline row (tid = its sequence number)
@@ -19,53 +20,34 @@ import (
 // phase, so the span tree reads directly off the timeline. Identity,
 // batch geometry, the per-step solve id, and the outcome travel in args.
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
-	recs := r.Records()
-	epoch := r.epoch
-	var b strings.Builder
-	b.WriteString("{\"traceEvents\":[")
-	first := true
-	emit := func(name, cat string, tid uint64, ts time.Duration, dur time.Duration, args string) {
-		if !first {
-			b.WriteByte(',')
-		}
-		first = false
-		fmt.Fprintf(&b, `{"name":%q,"cat":%q,"ph":"X","ts":%.3f,"dur":%.3f,"pid":1,"tid":%d,"args":{%s}}`,
-			name, cat, float64(ts.Nanoseconds())/1e3, float64(dur.Nanoseconds())/1e3, tid, args)
-	}
-	var flushErr error
-	flush := func() {
-		if flushErr == nil {
-			_, flushErr = io.WriteString(w, b.String())
-			b.Reset()
-		}
-	}
-	for _, rec := range recs {
-		t0 := rec.Ingress.Sub(epoch)
+	ew := metrics.NewEventWriter(w)
+	for _, rec := range r.Records() {
+		tid := int64(rec.Seq)
+		at := rec.Ingress.Sub(r.epoch)
 		args := fmt.Sprintf(`"id":%q,"matrix":%q,"outcome":%q,"batch":%d,"solve_id":%d`,
 			rec.ID, rec.Matrix, rec.Outcome, rec.Batch, rec.SolveID)
 		if rec.HasDeadline {
 			args += fmt.Sprintf(`,"deadline_slack_ns":%d`, rec.DeadlineSlack.Nanoseconds())
 		}
-		emit("request", "request", rec.Seq, t0, rec.Total, args)
-		at := t0
-		phase := func(name string, dur time.Duration) {
-			if dur > 0 {
-				emit(name, "phase", rec.Seq, at, dur, fmt.Sprintf(`"id":%q`, rec.ID))
+		ew.Complete("request", "request", tid, at, rec.Total, args)
+		phaseArgs := fmt.Sprintf(`"id":%q`, rec.ID)
+		for _, ph := range [...]struct {
+			name string
+			dur  time.Duration
+		}{
+			{"admit", rec.Admit},
+			{"queue-wait", rec.QueueWait},
+			{"coalesce-hold", rec.Coalesce},
+			{"solve", rec.Solve},
+			{"respond", rec.Respond()},
+		} {
+			if ph.dur > 0 {
+				ew.Complete(ph.name, "phase", tid, at, ph.dur, phaseArgs)
 			}
-			at += dur
-		}
-		phase("admit", rec.Admit)
-		phase("queue-wait", rec.QueueWait)
-		phase("coalesce-hold", rec.Coalesce)
-		phase("solve", rec.Solve)
-		phase("respond", rec.Respond())
-		if b.Len() >= 1<<16 {
-			flush()
+			at += ph.dur
 		}
 	}
-	b.WriteString("],\"displayTimeUnit\":\"ns\"}\n")
-	flush()
-	return flushErr
+	return ew.Close()
 }
 
 // WriteTable writes the retained records as an aligned text table,

@@ -24,9 +24,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/sss-lab/blocksptrsv/internal/metrics"
 )
 
 // Outcome classifies how a request was resolved. The zero value is
@@ -249,8 +250,9 @@ func (sp *Span) Record() Record { return sp.rec }
 // phase durations, batch geometry, deadline slack, and outcome. Respond
 // time (solve end to finish) is Total minus the recorded phases.
 type Record struct {
-	// Seq is the recorder-assigned monotonic sequence number (1-based);
-	// 0 until the record has been appended to a Recorder.
+	// Seq is the recorder-assigned monotonic sequence number (1-based),
+	// filled in when a record is read back from a Recorder; 0 on records
+	// that never went through one.
 	Seq uint64
 	// ID is the request id; Matrix the target matrix.
 	ID     string
@@ -320,22 +322,14 @@ const maxSnapshots = 4
 const snapshotRecords = 64
 
 // Recorder is the always-on flight recorder: a fixed-size ring of the
-// most recent request records plus a short ring of fault snapshots. All
-// memory is allocated up front; Record never allocates and holds its
-// mutex only for a struct copy, so it sits on the daemon's request path
-// at effectively zero cost.
+// most recent request records plus a short ring of fault snapshots, both
+// metrics.Rings. All record memory is allocated up front; Record never
+// allocates and holds the ring's mutex only for a struct copy, so it sits
+// on the daemon's request path at effectively zero cost.
 type Recorder struct {
 	epoch time.Time
-
-	mu    sync.Mutex
-	ring  []Record
-	total uint64
-
-	snapMu sync.Mutex
-	snaps  []Snapshot
-	// snapTotal counts captures ever made; the slice keeps the last
-	// maxSnapshots of them.
-	snapTotal uint64
+	ring  *metrics.Ring[Record]
+	snaps *metrics.Ring[Snapshot]
 }
 
 // NewRecorder returns a flight recorder retaining the most recent
@@ -344,7 +338,11 @@ func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = 256
 	}
-	return &Recorder{epoch: time.Now(), ring: make([]Record, capacity)}
+	return &Recorder{
+		epoch: time.Now(),
+		ring:  metrics.NewRing[Record](capacity),
+		snaps: metrics.NewRing[Snapshot](maxSnapshots),
+	}
 }
 
 // Epoch is the recorder's construction instant; exports report times
@@ -355,66 +353,29 @@ func (r *Recorder) Epoch() time.Time { return r.epoch }
 // sequence number. Zero allocations, one short critical section.
 //
 //sptrsv:hotpath
-func (r *Recorder) Record(rec Record) uint64 {
-	r.mu.Lock()
-	r.total++
-	rec.Seq = r.total
-	r.ring[(r.total-1)%uint64(len(r.ring))] = rec
-	r.mu.Unlock()
-	return rec.Seq
-}
+func (r *Recorder) Record(rec Record) uint64 { return r.ring.Push(rec) }
 
 // Len reports how many records the ring currently holds.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.total < uint64(len(r.ring)) {
-		return int(r.total)
-	}
-	return len(r.ring)
-}
+func (r *Recorder) Len() int { return r.ring.Len() }
 
 // Total reports how many records were ever appended, including those the
 // bounded ring has overwritten.
-func (r *Recorder) Total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
+func (r *Recorder) Total() uint64 { return r.ring.Total() }
 
 // Dropped reports how many records the bounded ring has overwritten.
-func (r *Recorder) Dropped() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.total > uint64(len(r.ring)) {
-		return r.total - uint64(len(r.ring))
-	}
-	return 0
-}
+func (r *Recorder) Dropped() uint64 { return r.ring.Dropped() }
 
 // Records returns the retained records oldest-first.
-func (r *Recorder) Records() []Record {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.recordsLocked(len(r.ring))
-}
+func (r *Recorder) Records() []Record { return r.last(r.ring.Cap()) }
 
-// recordsLocked copies up to lastN retained records oldest-first; the
-// caller holds mu.
-func (r *Recorder) recordsLocked(lastN int) []Record {
-	n := uint64(len(r.ring))
-	held := r.total
-	if held > n {
-		held = n
+// last copies up to n retained records oldest-first, numbering each with
+// its sequence number.
+func (r *Recorder) last(n int) []Record {
+	recs, first := r.ring.Last(n)
+	for i := range recs {
+		recs[i].Seq = first + uint64(i) + 1
 	}
-	if uint64(lastN) < held {
-		held = uint64(lastN)
-	}
-	out := make([]Record, 0, held)
-	for i := r.total - held; i < r.total; i++ {
-		out = append(out, r.ring[i%n])
-	}
-	return out
+	return recs
 }
 
 // CaptureSnapshot freezes the newest ring records together with a full
@@ -422,10 +383,7 @@ func (r *Recorder) recordsLocked(lastN int) []Record {
 // snapshot ring (the last maxSnapshots captures are kept). It allocates
 // freely — captures happen on fault paths, never on the solve path.
 func (r *Recorder) CaptureSnapshot(reason, requestID, detail string) Snapshot {
-	r.mu.Lock()
-	recs := r.recordsLocked(snapshotRecords)
-	r.mu.Unlock()
-
+	recs := r.last(snapshotRecords)
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
 	snap := Snapshot{
@@ -436,28 +394,15 @@ func (r *Recorder) CaptureSnapshot(reason, requestID, detail string) Snapshot {
 		Records:    recs,
 		Goroutines: buf,
 	}
-	r.snapMu.Lock()
-	r.snapTotal++
-	if len(r.snaps) == maxSnapshots {
-		copy(r.snaps, r.snaps[1:])
-		r.snaps[len(r.snaps)-1] = snap
-	} else {
-		r.snaps = append(r.snaps, snap)
-	}
-	r.snapMu.Unlock()
+	r.snaps.Push(snap)
 	return snap
 }
 
 // Snapshots returns the retained snapshots oldest-first.
 func (r *Recorder) Snapshots() []Snapshot {
-	r.snapMu.Lock()
-	defer r.snapMu.Unlock()
-	return append([]Snapshot(nil), r.snaps...)
+	snaps, _ := r.snaps.Last(maxSnapshots)
+	return snaps
 }
 
 // SnapshotTotal reports how many snapshots were ever captured.
-func (r *Recorder) SnapshotTotal() uint64 {
-	r.snapMu.Lock()
-	defer r.snapMu.Unlock()
-	return r.snapTotal
-}
+func (r *Recorder) SnapshotTotal() uint64 { return r.snaps.Total() }

@@ -266,10 +266,10 @@ func TestRecordAllocs(t *testing.T) {
 }
 
 func TestRecorderDefaults(t *testing.T) {
-	if got := len(NewRecorder(0).ring); got != 256 {
+	if got := NewRecorder(0).ring.Cap(); got != 256 {
 		t.Fatalf("default capacity = %d, want 256", got)
 	}
-	if got := len(NewRecorder(-5).ring); got != 256 {
+	if got := NewRecorder(-5).ring.Cap(); got != 256 {
 		t.Fatalf("negative capacity gave %d", got)
 	}
 }
